@@ -9,6 +9,19 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# Determinism gate: the core library's unit tests run in parallel in one
+# process (fleets, caches, failpoints). Each test scopes its own fault
+# handle, so order must not matter; repeating the suite turns a
+# scheduling-dependent flake into a CI failure instead of a rare one.
+echo "==> cargo test -q -p wasabi --lib (30 runs)"
+for run in $(seq 1 30); do
+    if ! cargo test -q -p wasabi --lib >/tmp/wasabi_lib_tests.log 2>&1; then
+        cat /tmp/wasabi_lib_tests.log
+        echo "wasabi lib tests failed on run $run of 30"
+        exit 1
+    fi
+done
+
 # Differential-oracle gate: re-run the three-way oracle (direct-emit vs.
 # rewrite+flat vs. Reference) with elevated case counts so every CI run
 # gets real random-module coverage, not just the fast local default.
@@ -28,7 +41,8 @@ PROPTEST_CASES=64 cargo test -q -p wasabi-vm --test cohort_vs_sequential
 # frame layer; every injected fault must degrade to a structured error
 # on a surviving process, retries must stay bounded, and the jobs that
 # dodge the faults must produce reports bit-identical to a fault-free
-# run. The suite seeds its own registry, so it is fully deterministic.
+# run. Each test arms its own fault handle, so the suite is fully
+# deterministic and needs no lock.
 echo "==> chaos suite (seeded fault injection)"
 cargo test -q -p wasabi --test chaos
 
@@ -59,6 +73,27 @@ cargo run --release -q -p wasabi-bench --bin pipeline -- --smoke --out /tmp/BENC
 
 echo "==> bench smoke (interp --smoke)"
 cargo run --release -q -p wasabi-bench --bin interp -- --smoke --out /tmp/BENCH_interp_smoke.json >/dev/null
+
+# Interpreter gate: the flat pre-translated IR must run PolyBench at
+# least 2x faster than the structured walk (geomean over kernels), in
+# the committed baseline AND a fresh smoke run. Both arms run in the same
+# process, so the ratio is robust to host speed. Re-record with:
+#   cargo run --release -p wasabi-bench --bin interp
+echo "==> perf gate: BENCH_interp.json (flat >= 2x structured)"
+python3 - <<'EOF'
+import json, sys
+with open("BENCH_interp.json") as f:
+    committed = json.load(f)
+with open("/tmp/BENCH_interp_smoke.json") as f:
+    smoke = json.load(f)
+for label, data in (("committed", committed), ("smoke", smoke)):
+    speedup = data["geomean_speedup"]
+    if speedup < 2.0:
+        sys.exit(f"flat-IR interpreter speedup regressed ({label}): "
+                 f"{speedup:.3f}x < 2x the structured walk")
+print(f"    flat vs structured: committed {committed['geomean_speedup']:.2f}x, "
+      f"smoke {smoke['geomean_speedup']:.2f}x (>= 2x)")
+EOF
 
 echo "==> bench smoke (overhead --smoke)"
 cargo run --release -q -p wasabi-bench --bin overhead -- --smoke --out /tmp/BENCH_overhead_smoke.json >/dev/null

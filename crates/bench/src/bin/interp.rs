@@ -12,8 +12,10 @@
 //! Default output path: `BENCH_interp.json` in the current directory.
 //! `--smoke` shrinks the workload for CI. Each kernel is translated once
 //! and invoked `invocations` times on one instance (wall times are
-//! totals); both executors must report identical executed-instruction
-//! counts, which the harness asserts.
+//! totals, best of `repeats` alternating runs per executor, so one
+//! scheduling hiccup on a shared host does not move the ratio); both
+//! executors must report identical executed-instruction counts, which
+//! the harness asserts.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -46,7 +48,8 @@ fn main() {
         .map(|(_, a)| a);
     let default_n: u32 = if smoke { 6 } else { 12 };
     let default_kernels: usize = if smoke { 2 } else { 8 };
-    let invocations: usize = if smoke { 3 } else { 12 };
+    let invocations: usize = 12;
+    let repeats: usize = 9;
     let polybench_n: u32 = positional
         .next()
         .and_then(|a| a.parse().ok())
@@ -59,7 +62,7 @@ fn main() {
     println!(
         "Interpreter baseline: structured walk vs. flat pre-translated IR \
          ({kernel_count} PolyBench kernels at n={polybench_n}, \
-         {invocations} invocations each, uninstrumented)"
+         {invocations} invocations each, best of {repeats}, uninstrumented)"
     );
     println!();
     println!(
@@ -79,8 +82,14 @@ fn main() {
         let translated = TranslatedModule::new(module.clone()).expect("validates");
         let translate_ms = translate_start.elapsed().as_secs_f64() * 1000.0;
 
-        let flat = run_flat_amortized(&translated, "main", invocations);
-        let structured = run_reference_amortized(&module, "main", invocations);
+        let mut flat = run_flat_amortized(&translated, "main", invocations);
+        let mut structured = run_reference_amortized(&module, "main", invocations);
+        for _ in 1..repeats {
+            let f = run_flat_amortized(&translated, "main", invocations);
+            flat.wall = flat.wall.min(f.wall);
+            let s = run_reference_amortized(&module, "main", invocations);
+            structured.wall = structured.wall.min(s.wall);
+        }
         assert_eq!(
             flat.vm_instrs, structured.vm_instrs,
             "{name}: flat IR and structured walk must count identically"
@@ -115,6 +124,7 @@ fn main() {
     let _ = write!(
         json,
         "{{\"polybench_n\":{polybench_n},\"invocations\":{invocations},\
+         \"repeats\":{repeats},\
          \"geomean_speedup\":{speedup:.3},\
          \"total_structured_ms\":{total_structured:.3},\
          \"total_flat_ms\":{total_flat:.3},\"kernels\":["

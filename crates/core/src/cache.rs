@@ -66,6 +66,7 @@ use wasabi_wasm::module::Module;
 use wasabi_wasm::ValidationError;
 
 use crate::diskcache::DiskCache;
+use crate::fault::Faults;
 use crate::hooks::HookSet;
 use crate::instrument::Instrumenter;
 use crate::runtime::AnalysisSession;
@@ -156,6 +157,8 @@ pub struct ModuleCache {
     /// before building and written back after every build (memory → disk
     /// → build). `None` = memory-only (the default).
     disk: Option<DiskCache>,
+    /// The `cache/build` failpoint's handle.
+    faults: Faults,
     hits: AtomicU64,
     misses: AtomicU64,
     disk_hits: AtomicU64,
@@ -198,6 +201,15 @@ impl ModuleCache {
     #[must_use]
     pub fn with_disk(mut self, disk: DiskCache) -> Self {
         self.disk = Some(disk);
+        self
+    }
+
+    /// Use `faults` for the `cache/build` failpoint and for the disk tier
+    /// attached so far (default: [`Faults::process`]).
+    #[must_use]
+    pub fn with_faults(mut self, faults: Faults) -> Self {
+        self.disk = self.disk.map(|disk| disk.with_faults(faults.clone()));
+        self.faults = faults;
         self
     }
 
@@ -270,7 +282,7 @@ impl ModuleCache {
                 // (they wait on this slot's build), a `panic` unwinds
                 // into the caller's containment, an `error` surfaces as
                 // a structured build failure.
-                if let Some(msg) = crate::fault::fire("cache/build") {
+                if let Some(msg) = self.faults.fire("cache/build") {
                     return Err(ValidationError::module(msg));
                 }
                 // Entries are built via the direct-emit path — the whole

@@ -13,7 +13,6 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
 use wasabi_wasm::instr::{BinaryOp, GlobalOp, LoadOp, LocalOp, StoreOp, UnaryOp};
 use wasabi_wasm::types::{FuncType, ValType};
 
@@ -25,7 +24,7 @@ pub const HOOK_MODULE: &str = "__wasabi_hooks";
 /// A monomorphic low-level hook: one imported function in the instrumented
 /// binary. Polymorphic high-level hooks (`call_pre`, `return`, `drop`, ...)
 /// map to many low-level hooks, generated on demand (paper §2.4.3).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LowLevelHook {
     Start,
     Nop,

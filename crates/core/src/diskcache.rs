@@ -54,6 +54,7 @@ use wasabi_wasm::types::ValType;
 use wasabi_vm::TranslatedModule;
 
 use crate::convention::LowLevelHook;
+use crate::fault::Faults;
 use crate::hooks::{BlockKind, HookSet};
 use crate::info::{BrTableEntry, BrTableInfo, EndInfo, ModuleInfo};
 use crate::location::{BranchTarget, Location};
@@ -81,6 +82,7 @@ fn fnv64(bytes: &[u8]) -> u64 {
 #[derive(Debug, Clone)]
 pub struct DiskCache {
     dir: PathBuf,
+    faults: Faults,
 }
 
 impl DiskCache {
@@ -93,7 +95,18 @@ impl DiskCache {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         sweep_stale_tmp(&dir);
-        Ok(DiskCache { dir })
+        Ok(DiskCache {
+            dir,
+            faults: Faults::default(),
+        })
+    }
+
+    /// Use `faults` for the `disk/load` and `disk/store` failpoints
+    /// (default: [`Faults::process`]).
+    #[must_use]
+    pub fn with_faults(mut self, faults: Faults) -> Self {
+        self.faults = faults;
+        self
     }
 
     /// The cache directory.
@@ -118,7 +131,7 @@ impl DiskCache {
     /// Returns `None` — never panics, never serves mismatched code — when
     /// there is no usable entry; the caller rebuilds.
     pub fn load(&self, key: &str, hooks: HookSet, module: &Module) -> Option<AnalysisSession> {
-        if crate::fault::fire("disk/load").is_some() {
+        if self.faults.fire("disk/load").is_some() {
             return None;
         }
         let bytes = fs::read(self.entry_path(key, hooks)).ok()?;
@@ -194,7 +207,7 @@ impl DiskCache {
 
         let path = self.entry_path(key, hooks);
         let tmp = path.with_extension(format!("tmp{}", std::process::id()));
-        let written = match crate::fault::fire("disk/store") {
+        let written = match self.faults.fire("disk/store") {
             Some(msg) => Err(std::io::Error::other(msg)),
             None => fs::File::create(&tmp)
                 .and_then(|mut f| f.write_all(&out).and_then(|()| f.sync_all())),
@@ -752,7 +765,6 @@ mod tests {
 
     #[test]
     fn injected_faults_degrade_to_miss_and_write_error() {
-        let _g = crate::fault::test_lock();
         let dir = tempdir("faults");
         let cache = DiskCache::new(&dir).expect("creates dir");
         let module = sample_module();
@@ -762,15 +774,18 @@ mod tests {
         assert!(cache.load("k", hooks, &module).is_some());
 
         // A load fault turns a present entry into a clean miss.
-        crate::fault::configure("disk/load=error", 1).unwrap();
-        assert!(cache.load("k", hooks, &module).is_none());
+        let faulty_load = cache
+            .clone()
+            .with_faults(Faults::parse("disk/load=error", 1).unwrap());
+        assert!(faulty_load.load("k", hooks, &module).is_none());
 
         // A store fault is a counted write error; the old entry survives.
-        crate::fault::configure("disk/store=error", 1).unwrap();
+        let faulty_store = cache
+            .clone()
+            .with_faults(Faults::parse("disk/store=error", 1).unwrap());
         let before = stats::disk_cache_write_errors();
-        cache.store("k", hooks, &session);
+        faulty_store.store("k", hooks, &session);
         assert!(stats::disk_cache_write_errors() > before);
-        crate::fault::clear();
         assert!(cache.load("k", hooks, &module).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }

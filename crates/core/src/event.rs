@@ -8,7 +8,6 @@
 //! build an event **once** and dispatch it to any number of subscribed
 //! analyses (see [`crate::pipeline::Pipeline`]).
 
-use serde::Serialize;
 use wasabi_wasm::instr::{BinaryOp, GlobalOp, LoadOp, LocalOp, StoreOp, UnaryOp, Val};
 
 use crate::hooks::{Analysis, BlockKind, Hook, MemArg};
@@ -65,7 +64,7 @@ impl<'a> AnalysisCtx<'a> {
 }
 
 /// Payload of the `if` hook: the evaluated condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IfEvt {
     pub condition: bool,
 }
@@ -73,7 +72,7 @@ pub struct IfEvt {
 /// Payload of the `br` and `br_if` hooks: the resolved branch target and,
 /// for `br_if`, the evaluated condition (`None` for the unconditional
 /// `br`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchEvt {
     /// Resolved target (paper §2.4.4).
     pub target: BranchTarget,
@@ -90,7 +89,7 @@ impl BranchEvt {
 
 /// Payload of the `br_table` hook: all entry targets, the default target,
 /// and the entry index selected at runtime (paper Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchTableEvt<'a> {
     pub targets: &'a [BranchTarget],
     pub default: BranchTarget,
@@ -110,28 +109,28 @@ impl BranchTableEvt<'_> {
 }
 
 /// Payload of the `begin` hook: which kind of block was entered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockEvt {
     pub kind: BlockKind,
 }
 
 /// Payload of the `end` hook: the block kind and the location of the
 /// matching block start (paper §2.4.5, dynamic block nesting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EndEvt {
     pub kind: BlockKind,
     pub begin: Location,
 }
 
 /// Payload of the `memory_size` hook.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemSizeEvt {
     /// Current size in 64 KiB pages.
     pub pages: u32,
 }
 
 /// Payload of the `memory_grow` hook.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemGrowEvt {
     /// Requested growth in pages.
     pub delta: u32,
@@ -141,13 +140,13 @@ pub struct MemGrowEvt {
 }
 
 /// Payload of the `const` and `drop` hooks: the pushed resp. dropped value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValEvt {
     pub value: Val,
 }
 
 /// Payload of the `select` hook.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectEvt {
     pub condition: bool,
     pub first: Val,
@@ -166,7 +165,7 @@ impl SelectEvt {
 }
 
 /// Payload of the `unary` hook.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnaryEvt {
     pub op: UnaryOp,
     pub input: Val,
@@ -190,7 +189,7 @@ pub struct UnaryEvt {
 /// };
 /// assert_eq!(evt.memarg.effective_addr(), 20);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemEvt<Op> {
     pub op: Op,
     /// Dynamic address operand + static offset immediate.
@@ -220,7 +219,7 @@ pub type StoreEvt = MemEvt<StoreOp>;
 /// };
 /// assert_eq!(evt.op.name(), "i32.add");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BinaryEvt {
     pub op: BinaryOp,
     pub first: Val,
@@ -230,7 +229,7 @@ pub struct BinaryEvt {
 
 /// Payload of the `local` and `global` hooks, generic over the operation
 /// ([`LocalOp`] or [`GlobalOp`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VarEvt<Op> {
     pub op: Op,
     /// Local resp. global index.
@@ -245,7 +244,7 @@ pub type LocalEvt = VarEvt<LocalOp>;
 pub type GlobalEvt = VarEvt<GlobalOp>;
 
 /// Payload of the `return` hook: the returned values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReturnEvt<'a> {
     pub results: &'a [Val],
 }
@@ -254,7 +253,7 @@ pub struct ReturnEvt<'a> {
 /// `call_indirect` — the runtime table index (paper Table 2: "tableIndex ==
 /// null iff direct call"). For an indirect call whose table slot cannot be
 /// resolved (the call will trap), `func` is `u32::MAX`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CallEvt<'a> {
     /// Resolved target function index in the original module.
     pub func: u32,
@@ -271,7 +270,7 @@ impl CallEvt<'_> {
 }
 
 /// Payload of the `call_post` hook: the call's results.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CallPostEvt<'a> {
     pub results: &'a [Val],
 }

@@ -2,14 +2,19 @@
 //!
 //! Production code threads named **sites** through its failure-prone
 //! paths — disk-cache I/O, cache build slots, fleet workers, the server
-//! frame layer — by calling [`fire`]. With no configuration (the default)
-//! every call is a single relaxed atomic load and a compare: the
-//! registry compiles down to a no-op check, so sites can sit on warm
+//! frame layer — by calling [`Faults::fire`] on the [`Faults`] handle its
+//! owner carries ([`DiskCache`](crate::DiskCache),
+//! [`ModuleCache`](crate::ModuleCache), [`Fleet`](crate::Fleet) and
+//! [`Pipeline`](crate::Pipeline) each hold one). A disarmed handle (the
+//! default) makes every call a single branch, so sites can sit on warm
 //! paths without a measurable cost.
 //!
-//! Configuration comes from the `WASABI_FAULTS` environment variable (or
-//! programmatically via [`configure`], which tests use so they don't
-//! race on process-global env state). The spec grammar is
+//! Handles are scoped, not global: a test arms its own with
+//! [`Faults::parse`] and hands it to the objects under test, so tests
+//! running in parallel never see each other's failpoints. The default
+//! handle, [`Faults::process`], is built once per process from the
+//! `WASABI_FAULTS` environment variable; the CLI and `wasabid` run on it.
+//! The spec grammar is
 //!
 //! ```text
 //! WASABI_FAULTS="site=action[:prob][:limit];site2=..."
@@ -22,8 +27,8 @@
 //! Example: `disk/store=error;fleet/job=panic:0.5:3`.
 //!
 //! Randomized sites draw from a per-site SplitMix64 stream seeded from
-//! `WASABI_FAULT_SEED` and the site name, so a chaos run is reproducible
-//! from its seed alone — same seed, same faults, same order (per site).
+//! the seed and the site name, so a chaos run is reproducible from its
+//! seed alone — same seed, same faults, same order (per site).
 //!
 //! ## Site catalog
 //!
@@ -43,8 +48,7 @@
 //! exactly that.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
@@ -52,18 +56,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::stats;
 
-/// Fast-path state: 0 = not yet initialized, 1 = disabled (no spec),
-/// 2 = active (registry populated).
-static STATE: AtomicU8 = AtomicU8::new(0);
-static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
-
-const UNINIT: u8 = 0;
-const DISABLED: u8 = 1;
-const ACTIVE: u8 = 2;
-
 #[derive(Debug, Clone, PartialEq)]
 enum Action {
-    /// Return an injected error message from [`fire`].
+    /// Return an injected error message from [`Faults::fire`].
     Error,
     /// Sleep for the given duration, then continue normally.
     Delay(Duration),
@@ -80,11 +75,6 @@ struct Site {
     rng: SmallRng,
 }
 
-#[derive(Debug, Default)]
-struct Registry {
-    sites: HashMap<String, Site>,
-}
-
 /// A fault spec failed to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError(pub String);
@@ -97,8 +87,8 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-fn parse_spec(spec: &str, seed: u64) -> Result<Registry, SpecError> {
-    let mut registry = Registry::default();
+fn parse_spec(spec: &str, seed: u64) -> Result<HashMap<String, Site>, SpecError> {
+    let mut sites = HashMap::new();
     for clause in spec.split(';').filter(|c| !c.trim().is_empty()) {
         let (site, rest) = clause
             .split_once('=')
@@ -148,7 +138,7 @@ fn parse_spec(spec: &str, seed: u64) -> Result<Registry, SpecError> {
                 .wrapping_mul(0x100000001b3)
                 .wrapping_add(u64::from(b));
         }
-        registry.sites.insert(
+        sites.insert(
             site.to_string(),
             Site {
                 action,
@@ -159,105 +149,107 @@ fn parse_spec(spec: &str, seed: u64) -> Result<Registry, SpecError> {
             },
         );
     }
-    Ok(registry)
+    Ok(sites)
 }
 
-/// Install a fault configuration programmatically (tests, chaos
-/// harnesses). An empty `spec` disables injection entirely. Replaces any
-/// previous configuration, including one read from the environment.
-pub fn configure(spec: &str, seed: u64) -> Result<(), SpecError> {
-    let registry = parse_spec(spec, seed)?;
-    let active = !registry.sites.is_empty();
-    let mut guard = REGISTRY.lock().expect("fault registry poisoned");
-    *guard = if active { Some(registry) } else { None };
-    STATE.store(if active { ACTIVE } else { DISABLED }, Ordering::Release);
-    Ok(())
+/// A scoped set of armed failpoints, or none. Cloning shares the set,
+/// hit counters and random streams included.
+///
+/// The [`Default`] is [`Faults::process`].
+#[derive(Clone)]
+pub struct Faults {
+    sites: Option<Arc<Mutex<HashMap<String, Site>>>>,
 }
 
-/// Remove all failpoints; [`fire`] returns to its no-op fast path.
-pub fn clear() {
-    let mut guard = REGISTRY.lock().expect("fault registry poisoned");
-    *guard = None;
-    STATE.store(DISABLED, Ordering::Release);
-}
+impl Faults {
+    /// A handle with no failpoints: [`Faults::fire`] never fires.
+    pub fn none() -> Self {
+        Faults { sites: None }
+    }
 
-/// Serialize tests that reconfigure the process-global registry.
-/// Recovers from a poisoned lock (a `panic` fault inside a test is
-/// expected, not an error).
-pub fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-    TEST_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+    /// Arm the failpoints of `spec` (grammar in the [module docs](self)),
+    /// drawing randomized sites from streams seeded by `seed`. An empty
+    /// spec gives a disarmed handle.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `spec` does not parse.
+    pub fn parse(spec: &str, seed: u64) -> Result<Self, SpecError> {
+        let sites = parse_spec(spec, seed)?;
+        Ok(Faults {
+            sites: (!sites.is_empty()).then(|| Arc::new(Mutex::new(sites))),
+        })
+    }
 
-/// How many times `site` has triggered since it was configured.
-pub fn hits(site: &str) -> u64 {
-    let guard = REGISTRY.lock().expect("fault registry poisoned");
-    guard
-        .as_ref()
-        .and_then(|r| r.sites.get(site))
-        .map_or(0, |s| s.hits)
-}
+    /// The process-wide handle, armed once from `WASABI_FAULTS` and
+    /// `WASABI_FAULT_SEED` on first use (a malformed spec is reported on
+    /// stderr and ignored). Disarmed when the variable is unset.
+    pub fn process() -> Self {
+        static PROCESS: OnceLock<Faults> = OnceLock::new();
+        PROCESS
+            .get_or_init(|| {
+                let spec = std::env::var("WASABI_FAULTS").unwrap_or_default();
+                let seed = std::env::var("WASABI_FAULT_SEED")
+                    .ok()
+                    .and_then(|s| s.parse().ok())
+                    .unwrap_or(0);
+                Faults::parse(&spec, seed).unwrap_or_else(|e| {
+                    eprintln!("wasabi: ignoring WASABI_FAULTS: {e}");
+                    Faults::none()
+                })
+            })
+            .clone()
+    }
 
-#[cold]
-fn init_from_env() -> u8 {
-    let spec = std::env::var("WASABI_FAULTS").unwrap_or_default();
-    let seed = std::env::var("WASABI_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    match parse_spec(&spec, seed) {
-        Ok(registry) if !registry.sites.is_empty() => {
-            let mut guard = REGISTRY.lock().expect("fault registry poisoned");
-            // configure() may have won the race; respect it.
-            if guard.is_none() && STATE.load(Ordering::Acquire) == UNINIT {
-                *guard = Some(registry);
-                STATE.store(ACTIVE, Ordering::Release);
-                return ACTIVE;
-            }
-            STATE.load(Ordering::Acquire)
-        }
-        Ok(_) => {
-            let _ = STATE.compare_exchange(UNINIT, DISABLED, Ordering::AcqRel, Ordering::Acquire);
-            STATE.load(Ordering::Acquire)
-        }
-        Err(e) => {
-            eprintln!("wasabi: ignoring WASABI_FAULTS: {e}");
-            let _ = STATE.compare_exchange(UNINIT, DISABLED, Ordering::AcqRel, Ordering::Acquire);
-            STATE.load(Ordering::Acquire)
-        }
+    /// Whether any failpoint is armed.
+    pub fn is_armed(&self) -> bool {
+        self.sites.is_some()
+    }
+
+    /// How many times `site` has triggered on this handle (and its
+    /// clones).
+    pub fn hits(&self, site: &str) -> u64 {
+        self.sites.as_ref().map_or(0, |sites| {
+            let sites = sites.lock().expect("fault registry poisoned");
+            sites.get(site).map_or(0, |s| s.hits)
+        })
+    }
+
+    /// Evaluate the failpoint `site`.
+    ///
+    /// Returns `Some(message)` when an `error` fault fires (the caller
+    /// turns it into its layer's structured error), `None` otherwise. A
+    /// `delay` fault sleeps here and then continues; a `panic` fault
+    /// panics here (the surrounding layer's containment — `catch_unwind`,
+    /// connection handler — is exactly what's under test).
+    ///
+    /// On a disarmed handle this is one branch.
+    #[inline]
+    pub fn fire(&self, site: &str) -> Option<String> {
+        self.sites.as_ref().and_then(|sites| fire_slow(sites, site))
     }
 }
 
-/// Evaluate the failpoint `site`.
-///
-/// Returns `Some(message)` when an `error` fault fires (the caller turns
-/// it into its layer's structured error), `None` otherwise. A `delay`
-/// fault sleeps here and then continues; a `panic` fault panics here
-/// (the surrounding layer's containment — `catch_unwind`, connection
-/// handler — is exactly what's under test).
-///
-/// With no configuration this is one relaxed load and a branch.
-#[inline]
-pub fn fire(site: &str) -> Option<String> {
-    let state = STATE.load(Ordering::Relaxed);
-    if state == DISABLED {
-        return None;
+impl Default for Faults {
+    fn default() -> Self {
+        Faults::process()
     }
-    fire_slow(site, state)
+}
+
+impl std::fmt::Debug for Faults {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Faults")
+            .field("armed", &self.is_armed())
+            .finish()
+    }
 }
 
 #[cold]
 #[inline(never)]
-fn fire_slow(site: &str, state: u8) -> Option<String> {
-    if state == UNINIT && init_from_env() == DISABLED {
-        return None;
-    }
+fn fire_slow(sites: &Mutex<HashMap<String, Site>>, site: &str) -> Option<String> {
     let action = {
-        let mut guard = REGISTRY.lock().expect("fault registry poisoned");
-        let registry = guard.as_mut()?;
-        let entry = registry.sites.get_mut(site)?;
+        let mut sites = sites.lock().expect("fault registry poisoned");
+        let entry = sites.get_mut(site)?;
         if entry.limit.is_some_and(|l| entry.hits >= l) {
             return None;
         }
@@ -284,52 +276,53 @@ fn fire_slow(site: &str, state: u8) -> Option<String> {
 mod tests {
     use super::*;
 
-    // The registry is process-global; tests serialize on `test_lock` so
-    // parallel test threads don't clobber each other's specs.
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        test_lock()
-    }
-
     #[test]
     fn unconfigured_fire_is_a_no_op() {
-        let _g = locked();
-        clear();
-        assert_eq!(fire("disk/store"), None);
+        let faults = Faults::none();
+        assert!(!faults.is_armed());
+        assert_eq!(faults.fire("disk/store"), None);
+        assert!(!Faults::parse("", 0).unwrap().is_armed());
     }
 
     #[test]
     fn error_fault_fires_and_counts() {
-        let _g = locked();
-        configure("disk/store=error", 7).unwrap();
+        let faults = Faults::parse("disk/store=error", 7).unwrap();
         let before = stats::faults_injected();
-        let msg = fire("disk/store").expect("fires");
+        let msg = faults.fire("disk/store").expect("fires");
         assert!(msg.contains("disk/store"), "{msg}");
-        assert_eq!(hits("disk/store"), 1);
+        assert_eq!(faults.hits("disk/store"), 1);
         assert!(stats::faults_injected() > before);
         // Unconfigured sites stay quiet.
-        assert_eq!(fire("disk/load"), None);
-        clear();
+        assert_eq!(faults.fire("disk/load"), None);
+    }
+
+    #[test]
+    fn clones_share_sites_and_separate_handles_do_not() {
+        let faults = Faults::parse("fleet/job=error", 7).unwrap();
+        let clone = faults.clone();
+        assert!(clone.fire("fleet/job").is_some());
+        assert_eq!(faults.hits("fleet/job"), 1, "a clone is the same set");
+        let other = Faults::parse("fleet/job=error", 7).unwrap();
+        assert_eq!(other.hits("fleet/job"), 0, "a second handle is independent");
+        assert_eq!(Faults::none().fire("fleet/job"), None);
     }
 
     #[test]
     fn limit_bounds_the_number_of_injections() {
-        let _g = locked();
-        configure("fleet/job=error:1:2", 7).unwrap();
-        assert!(fire("fleet/job").is_some());
-        assert!(fire("fleet/job").is_some());
-        assert_eq!(fire("fleet/job"), None);
-        assert_eq!(hits("fleet/job"), 2);
-        clear();
+        let faults = Faults::parse("fleet/job=error:1:2", 7).unwrap();
+        assert!(faults.fire("fleet/job").is_some());
+        assert!(faults.fire("fleet/job").is_some());
+        assert_eq!(faults.fire("fleet/job"), None);
+        assert_eq!(faults.hits("fleet/job"), 2);
     }
 
     #[test]
     fn probability_stream_is_deterministic_per_seed() {
-        let _g = locked();
         let run = |seed| {
-            configure("x=error:0.5", seed).unwrap();
-            let fired: Vec<bool> = (0..32).map(|_| fire("x").is_some()).collect();
-            clear();
-            fired
+            let faults = Faults::parse("x=error:0.5", seed).unwrap();
+            (0..32)
+                .map(|_| faults.fire("x").is_some())
+                .collect::<Vec<bool>>()
         };
         let a = run(42);
         let b = run(42);
@@ -341,20 +334,16 @@ mod tests {
 
     #[test]
     fn delay_fault_sleeps_then_continues() {
-        let _g = locked();
-        configure("slow=delay20", 0).unwrap();
+        let faults = Faults::parse("slow=delay20", 0).unwrap();
         let start = std::time::Instant::now();
-        assert_eq!(fire("slow"), None);
+        assert_eq!(faults.fire("slow"), None);
         assert!(start.elapsed() >= Duration::from_millis(20));
-        clear();
     }
 
     #[test]
     fn panic_fault_panics_with_the_site_name() {
-        let _g = locked();
-        configure("boom=panic", 0).unwrap();
-        let result = std::panic::catch_unwind(|| fire("boom"));
-        clear();
+        let faults = Faults::parse("boom=panic", 0).unwrap();
+        let result = std::panic::catch_unwind(|| faults.fire("boom"));
         let payload = result.unwrap_err();
         let msg = payload.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("boom"), "{msg}");
@@ -362,14 +351,10 @@ mod tests {
 
     #[test]
     fn bad_specs_are_rejected() {
-        let _g = locked();
-        assert!(configure("no-equals", 0).is_err());
-        assert!(configure("x=frobnicate", 0).is_err());
-        assert!(configure("x=error:2.0", 0).is_err());
-        assert!(configure("x=delayhuh", 0).is_err());
-        assert!(configure("x=error:0.5:3:extra", 0).is_err());
-        // A failed configure leaves the previous state alone.
-        clear();
-        assert_eq!(fire("x"), None);
+        assert!(Faults::parse("no-equals", 0).is_err());
+        assert!(Faults::parse("x=frobnicate", 0).is_err());
+        assert!(Faults::parse("x=error:2.0", 0).is_err());
+        assert!(Faults::parse("x=delayhuh", 0).is_err());
+        assert!(Faults::parse("x=error:0.5:3:extra", 0).is_err());
     }
 }

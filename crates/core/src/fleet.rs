@@ -77,6 +77,7 @@ use wasabi_wasm::module::Module;
 use wasabi_wasm::ValidationError;
 
 use crate::cache::ModuleCache;
+use crate::fault::Faults;
 use crate::hooks::{Analysis, HookSet};
 use crate::pipeline::Wasabi;
 use crate::report::Report;
@@ -379,6 +380,7 @@ pub struct FleetBuilder {
     factory: Option<AnalysisFactory>,
     jobs: Vec<Job>,
     retries: u32,
+    faults: Faults,
 }
 
 impl FleetBuilder {
@@ -421,6 +423,15 @@ impl FleetBuilder {
         self
     }
 
+    /// Use `faults` for the `fleet/job` and `cohort/step` failpoints, and
+    /// for the fleet's private cache when no [`FleetBuilder::cache`] is
+    /// given (a shared cache keeps its own handle). Default:
+    /// [`Faults::process`].
+    pub fn faults(mut self, faults: Faults) -> Self {
+        self.faults = faults;
+        self
+    }
+
     /// Finish configuration.
     pub fn build(self) -> Fleet {
         Fleet {
@@ -429,10 +440,13 @@ impl FleetBuilder {
                     .map(std::num::NonZeroUsize::get)
                     .unwrap_or(1)
             }),
-            cache: self.cache.unwrap_or_else(ModuleCache::shared),
+            cache: self
+                .cache
+                .unwrap_or_else(|| Arc::new(ModuleCache::new().with_faults(self.faults.clone()))),
             factory: self.factory,
             pending: self.jobs,
             retries: self.retries,
+            faults: self.faults,
         }
     }
 }
@@ -456,6 +470,7 @@ pub struct Fleet {
     factory: Option<AnalysisFactory>,
     pending: Vec<Job>,
     retries: u32,
+    faults: Faults,
 }
 
 /// A job dealt to a worker's deque, remembering its submission index and
@@ -578,6 +593,7 @@ impl Fleet {
         let cache = &self.cache;
         let factory = self.factory;
         let retries = self.retries;
+        let faults = &self.faults;
         let stealers = &stealers;
         let watchdog = &Watchdog::default();
 
@@ -614,7 +630,7 @@ impl Fleet {
                         let Some(queued) = next else { break };
                         let QueuedJob { idx, home, job } = queued;
                         let outcome = run_with_retries(
-                            me, idx, home, &job, started, cache, factory, retries, watchdog,
+                            me, idx, home, &job, started, cache, factory, retries, watchdog, faults,
                         );
                         if sender.send(outcome).is_err() {
                             break;
@@ -761,6 +777,7 @@ fn run_with_retries(
     factory: Option<AnalysisFactory>,
     retries: u32,
     watchdog: &Watchdog,
+    faults: &Faults,
 ) -> JobOutcome {
     // Deterministic jitter: seeded from the job's identity, not a global
     // RNG, so a chaos run's backoff schedule reproduces from its seed.
@@ -793,7 +810,17 @@ fn run_with_retries(
         };
 
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(me, idx, home, job, batch_started, cache, factory, budget)
+            run_job(
+                me,
+                idx,
+                home,
+                job,
+                batch_started,
+                cache,
+                factory,
+                budget,
+                faults,
+            )
         }))
         .unwrap_or_else(|payload| JobOutcome {
             job: idx,
@@ -854,6 +881,7 @@ fn run_job(
     cache: &ModuleCache,
     factory: Option<AnalysisFactory>,
     budget: Option<Budget>,
+    faults: &Faults,
 ) -> JobOutcome {
     let queue = batch_started.elapsed();
     let mut stats = JobStats {
@@ -878,7 +906,7 @@ fn run_job(
     // Failpoint: `error` → a retryable transient failure, `panic` →
     // contained by the attempt's catch_unwind, `delay` → a stalled
     // worker the deadline machinery has to reclaim.
-    if let Some(message) = crate::fault::fire("fleet/job") {
+    if let Some(message) = faults.fire("fleet/job") {
         return fail(JobError::Transient(message), stats);
     }
 
@@ -901,7 +929,7 @@ fn run_job(
     stats.cache_hit = looked.hit;
     stats.build = looked.build;
 
-    let mut builder = Wasabi::builder();
+    let mut builder = Wasabi::builder().faults(faults.clone());
     for analysis in &mut analyses {
         builder = builder.analysis(analysis.as_mut());
     }
@@ -1389,13 +1417,15 @@ mod tests {
 
     #[test]
     fn transient_faults_are_retried_within_the_budget() {
-        let _serial = crate::fault::test_lock();
-        crate::fault::configure("fleet/job=error:1:2", 7).unwrap();
+        let faults = Faults::parse("fleet/job=error:1:2", 7).unwrap();
         let module = Arc::new(square_module());
-        let mut fleet = Fleet::builder().workers(1).retries(3).build();
+        let mut fleet = Fleet::builder()
+            .workers(1)
+            .retries(3)
+            .faults(faults)
+            .build();
         fleet.submit(Job::new("square", module, "main", vec![Val::I32(6)]));
         let batch = fleet.run();
-        crate::fault::clear();
         // Two injected failures, then the limit is exhausted and the third
         // attempt succeeds — bounded retries recovered the job.
         assert_eq!(batch.jobs[0].result.as_ref().unwrap(), &vec![Val::I32(36)]);
@@ -1404,13 +1434,15 @@ mod tests {
 
     #[test]
     fn exhausted_retries_surface_the_transient_error() {
-        let _serial = crate::fault::test_lock();
-        crate::fault::configure("fleet/job=error", 7).unwrap();
+        let faults = Faults::parse("fleet/job=error", 7).unwrap();
         let module = Arc::new(square_module());
-        let mut fleet = Fleet::builder().workers(1).retries(1).build();
+        let mut fleet = Fleet::builder()
+            .workers(1)
+            .retries(1)
+            .faults(faults)
+            .build();
         fleet.submit(Job::new("square", module, "main", vec![Val::I32(6)]));
         let batch = fleet.run();
-        crate::fault::clear();
         let outcome = &batch.jobs[0];
         assert!(matches!(
             outcome.result.as_ref().unwrap_err(),

@@ -10,7 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wasabi_wasm::instr::Instr;
 
 use crate::event::{
@@ -23,7 +22,7 @@ use crate::report::{JsonValue, Report};
 /// The 23 high-level hooks of the Wasabi API (paper Table 2 plus the five
 /// hooks its caption mentions: `start`, `nop`, `unreachable`, `if`,
 /// `memory_size`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Hook {
     Start,
     Nop,
@@ -151,7 +150,7 @@ impl fmt::Display for Hook {
 /// A set of hooks, driving selective instrumentation (paper §2.4.2: "only
 /// those kinds of instructions are instrumented that have a matching
 /// high-level hook in the given analysis").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct HookSet {
     bits: u32,
 }
@@ -262,7 +261,7 @@ impl FromIterator<Hook> for HookSet {
 
 /// Kind of a structured block, for the `begin`/`end` hooks (paper Table 2:
 /// "type : string ∈ {function, block, loop, if, else}").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockKind {
     Function,
     Block,
@@ -291,7 +290,7 @@ impl fmt::Display for BlockKind {
 
 /// The memory-access immediate+operand bundle passed to `load`/`store`
 /// hooks (paper Table 2: "memarg : {addr, offset}").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemArg {
     /// Dynamic address operand.
     pub addr: u32,

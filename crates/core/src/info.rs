@@ -2,7 +2,6 @@
 //! the Wasabi runtime (the analogue of the generated JavaScript
 //! `Wasabi.module.info` of the paper, Fig. 2 "extract → information").
 
-use serde::{Deserialize, Serialize};
 use wasabi_wasm::module::Module;
 use wasabi_wasm::types::FuncType;
 
@@ -11,7 +10,7 @@ use crate::hooks::{BlockKind, HookSet};
 use crate::location::{BranchTarget, Location};
 
 /// Static description of one function of the *original* module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionInfo {
     pub type_: FuncType,
     /// `(module, name)` if imported.
@@ -44,7 +43,7 @@ impl FunctionInfo {
 /// An `end` hook invocation to replay when a branch leaves blocks
 /// (paper §2.4.5): the block kind, its begin location, and the location of
 /// its `end` instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EndInfo {
     pub kind: BlockKind,
     pub begin: Location,
@@ -53,7 +52,7 @@ pub struct EndInfo {
 
 /// One possible outcome of a `br_table`: its resolved target and the blocks
 /// whose `end` hooks must fire if this entry is taken.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BrTableEntry {
     pub target: BranchTarget,
     pub ends: Vec<EndInfo>,
@@ -62,7 +61,7 @@ pub struct BrTableEntry {
 /// Statically extracted information about one `br_table` instruction
 /// (paper §2.4.5: "the instrumentation statically extracts the list of
 /// ended blocks for every branch table entry and stores this information").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BrTableInfo {
     /// Location of the `br_table` instruction itself.
     pub location: Location,
@@ -72,7 +71,7 @@ pub struct BrTableInfo {
 
 /// A static table initializer (element segment) of the original module,
 /// used by the runtime to resolve indirect call targets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableSegmentInfo {
     /// Start offset, if statically known (constant expression).
     pub offset: Option<u32>,
@@ -83,7 +82,7 @@ pub struct TableSegmentInfo {
 /// Everything the Wasabi runtime needs to turn low-level hook calls into
 /// high-level analysis events. Serializable, mirroring the JSON the paper's
 /// instrumenter emits for its JavaScript runtime.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ModuleInfo {
     /// Per-function static info, indexed by original function index.
     pub functions: Vec<FunctionInfo>,

@@ -81,6 +81,7 @@ pub mod stats;
 pub use cache::{content_key, ModuleCache};
 pub use diskcache::DiskCache;
 pub use event::AnalysisCtx;
+pub use fault::Faults;
 pub use fleet::{
     BatchResult, BatchSummary, Fleet, FleetBuilder, Job, JobOutcome, JobStats, SweepOutcome,
 };

@@ -3,14 +3,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A code location in the *original* (uninstrumented) module.
 ///
 /// `instr` is the instruction index within the function body; `-1` denotes
 /// the function entry (paper Fig. 6 uses -1 for the implicit function
 /// block's begin).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Location {
     /// Function index in the original module.
     pub func: u32,
@@ -39,7 +37,7 @@ impl fmt::Display for Location {
 /// A branch target: the raw relative label plus the statically resolved
 /// location of the next instruction executed if the branch is taken
 /// (paper §2.4.4, "Resolving Branch Labels").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BranchTarget {
     /// The "raw" relative label as it appears in the instruction.
     pub label: u32,

@@ -60,6 +60,7 @@ use wasabi_vm::{Budget, CohortRunner, Instance, RunOutcome, Trap, DEFAULT_COHORT
 use wasabi_wasm::instr::Val;
 use wasabi_wasm::module::Module;
 
+use crate::fault::Faults;
 use crate::hooks::{Analysis, Hook, HookSet};
 use crate::instrument::Instrumenter;
 use crate::report::Report;
@@ -110,6 +111,7 @@ pub struct PipelineBuilder<'a> {
     threads: Option<usize>,
     mode: InstrumentationMode,
     budget: Option<Budget>,
+    faults: Faults,
 }
 
 impl<'a> PipelineBuilder<'a> {
@@ -120,6 +122,7 @@ impl<'a> PipelineBuilder<'a> {
             threads: None,
             mode: InstrumentationMode::default(),
             budget: None,
+            faults: Faults::default(),
         }
     }
 
@@ -152,6 +155,13 @@ impl<'a> PipelineBuilder<'a> {
     /// a per-job budget wants: queue time counts against the job.
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = Some(budget);
+        self
+    }
+
+    /// Use `faults` for the `cohort/step` failpoint (default:
+    /// [`Faults::process`]).
+    pub fn faults(mut self, faults: Faults) -> Self {
+        self.faults = faults;
         self
     }
 
@@ -225,6 +235,7 @@ impl<'a> PipelineBuilder<'a> {
             analyses: self.analyses,
             subscribers,
             budget: self.budget,
+            faults: self.faults,
         }
     }
 }
@@ -251,6 +262,7 @@ pub struct Pipeline<'a> {
     /// Resource governance applied to every run (see
     /// [`PipelineBuilder::budget`]); `None` = ungoverned.
     budget: Option<Budget>,
+    faults: Faults,
 }
 
 impl<'a> Pipeline<'a> {
@@ -372,7 +384,7 @@ impl<'a> Pipeline<'a> {
         // `cohort/step` failpoint with panic containment.
         while let Some(idx) = cohort.peek_next() {
             let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if let Some(message) = crate::fault::fire("cohort/step") {
+                if let Some(message) = self.faults.fire("cohort/step") {
                     return Some(message);
                 }
                 cohort.step_one(&mut host);

@@ -12,8 +12,6 @@
 
 use std::fmt;
 
-use serde::Serialize;
-
 /// A JSON value. Construct with the `From` impls and the
 /// [`JsonValue::object`]/[`JsonValue::array`] helpers.
 ///
@@ -28,7 +26,7 @@ use serde::Serialize;
 /// ]);
 /// assert_eq!(value.to_string(), r#"{"total":3,"ops":["i32.add"]}"#);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     Null,
     Bool(bool),
@@ -204,7 +202,7 @@ impl fmt::Display for JsonValue {
 }
 
 /// The structured output of one analysis: its name plus a JSON document.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// Analysis name ([`crate::hooks::Analysis::name`]).
     pub analysis: String,

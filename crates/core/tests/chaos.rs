@@ -11,9 +11,10 @@
 //! 4. Jobs that survive a faulted run produce results and analysis
 //!    reports bit-identical to a fault-free run of the same batch.
 //!
-//! The fault registry is process-global, so every test here serializes on
-//! [`wasabi::fault::test_lock`] — including the ones that inject nothing,
-//! because they must observe an *empty* registry.
+//! Every test arms its own [`Faults`] handle and hands it to the fleet,
+//! cache and pipeline under test — the ones that inject nothing pass
+//! [`Faults::none`] — so the tests run in parallel without seeing each
+//! other's failpoints.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,7 +22,7 @@ use std::time::{Duration, Instant};
 use wasabi::event::{AnalysisCtx, BinaryEvt};
 use wasabi::fleet::JobError;
 use wasabi::hooks::{Analysis, Hook, HookSet};
-use wasabi::{fault, Budget, CancelToken, DiskCache, Fleet, Job, ModuleCache, Report, Wasabi};
+use wasabi::{Budget, CancelToken, DiskCache, Faults, Fleet, Job, ModuleCache, Report, Wasabi};
 use wasabi_vm::Trap;
 use wasabi_wasm::builder::ModuleBuilder;
 use wasabi_wasm::instr::Val;
@@ -86,12 +87,14 @@ fn square_batch(module: &Arc<Module>) -> Vec<Job> {
         .collect()
 }
 
-/// Run a batch on a fresh fleet and return `(result, report-json)` rows.
+/// Run a batch on a fresh fleet, its cache and disk tier armed with
+/// `faults`, and return `(result, report-json)` rows.
 #[allow(clippy::type_complexity)]
 fn run_batch(
     jobs: Vec<Job>,
     disk: Option<DiskCache>,
     retries: u32,
+    faults: Faults,
 ) -> Vec<(Result<Vec<Val>, String>, Vec<String>)> {
     let mut cache = ModuleCache::new();
     if let Some(disk) = disk {
@@ -100,8 +103,9 @@ fn run_batch(
     let mut fleet = Fleet::builder()
         .workers(2)
         .factory(factory)
-        .cache(Arc::new(cache))
+        .cache(Arc::new(cache.with_faults(faults.clone())))
         .retries(retries)
+        .faults(faults)
         .build();
     for job in jobs {
         fleet.submit(job);
@@ -121,10 +125,8 @@ fn run_batch(
 
 #[test]
 fn faulted_runs_degrade_to_structured_errors_and_identical_survivors() {
-    let _serial = fault::test_lock();
-    fault::clear();
     let module = Arc::new(square_module());
-    let baseline = run_batch(square_batch(&module), None, 0);
+    let baseline = run_batch(square_batch(&module), None, 0, Faults::none());
     assert!(baseline.iter().all(|(r, _)| r.is_ok()), "baseline is clean");
 
     // Each spec exercises one failpoint site. `disk/*` faults are
@@ -142,13 +144,12 @@ fn faulted_runs_degrade_to_structured_errors_and_identical_survivors() {
     for spec in specs {
         for seed in [1, 42, 1337] {
             let dir = temp_dir("faulted");
-            fault::configure(spec, seed).unwrap();
             let out = run_batch(
                 square_batch(&module),
                 Some(DiskCache::new(&dir).unwrap()),
                 2,
+                Faults::parse(spec, seed).unwrap(),
             );
-            fault::clear();
             let _ = std::fs::remove_dir_all(&dir);
             assert_eq!(out.len(), baseline.len(), "{spec}@{seed}: no lost jobs");
             for (i, (row, want)) in out.iter().zip(&baseline).enumerate() {
@@ -167,18 +168,15 @@ fn faulted_runs_degrade_to_structured_errors_and_identical_survivors() {
 
 #[test]
 fn retry_budget_is_a_hard_bound() {
-    let _serial = fault::test_lock();
-    fault::clear();
     let module = Arc::new(square_module());
-    fault::configure("fleet/job=error", 9).unwrap();
-    let before = fault::hits("fleet/job");
+    let faults = Faults::parse("fleet/job=error", 9).unwrap();
     let out = run_batch(
         vec![Job::new("square", module, "main", vec![Val::I32(3)])],
         None,
         2,
+        faults.clone(),
     );
-    let attempts = fault::hits("fleet/job") - before;
-    fault::clear();
+    let attempts = faults.hits("fleet/job");
     assert!(
         matches!(&out[0].0, Err(m) if m.contains("transient")),
         "{:?}",
@@ -189,11 +187,9 @@ fn retry_budget_is_a_hard_bound() {
 
 #[test]
 fn deadline_reclaims_a_spinning_job_and_survivors_match_baseline() {
-    let _serial = fault::test_lock();
-    fault::clear();
     let square = Arc::new(square_module());
     let spin = Arc::new(spin_module());
-    let baseline = run_batch(square_batch(&square), None, 0);
+    let baseline = run_batch(square_batch(&square), None, 0, Faults::none());
 
     let mut jobs = square_batch(&square);
     jobs.insert(
@@ -201,7 +197,7 @@ fn deadline_reclaims_a_spinning_job_and_survivors_match_baseline() {
         Job::new("spin", spin, "spin", vec![]).deadline(Duration::from_millis(100)),
     );
     let started = Instant::now();
-    let out = run_batch(jobs, None, 0);
+    let out = run_batch(jobs, None, 0, Faults::none());
     assert!(
         started.elapsed() < Duration::from_secs(30),
         "the spinning job was reclaimed, not leaked"
@@ -221,13 +217,11 @@ fn deadline_reclaims_a_spinning_job_and_survivors_match_baseline() {
 
 #[test]
 fn cancellation_releases_the_worker_and_the_batch_completes() {
-    let _serial = fault::test_lock();
-    fault::clear();
     let square = Arc::new(square_module());
     let spin = Arc::new(spin_module());
     let token = CancelToken::new();
 
-    let mut fleet = Fleet::builder().workers(1).build();
+    let mut fleet = Fleet::builder().workers(1).faults(Faults::none()).build();
     fleet.submit(Job::new("spin", spin, "spin", vec![]).cancel_token(token.clone()));
     fleet.submit(Job::new("square", square, "main", vec![Val::I32(5)]));
 
@@ -265,16 +259,17 @@ fn conditional_spin_module() -> Module {
     builder.finish()
 }
 
-/// Run `inputs` through a fresh analysis pipeline as one cohort,
-/// returning `(result, executed_instrs)` per member.
+/// Run `inputs` through a fresh analysis pipeline armed with `faults` as
+/// one cohort, returning `(result, executed_instrs)` per member.
 #[allow(clippy::type_complexity)]
 fn run_cohort(
     module: &Module,
     inputs: &[i32],
     budget: Option<Budget>,
+    faults: Faults,
 ) -> Vec<(Result<Vec<Val>, Trap>, u64)> {
     let mut binaries = Binaries::default();
-    let mut builder = Wasabi::builder().analysis(&mut binaries);
+    let mut builder = Wasabi::builder().analysis(&mut binaries).faults(faults);
     if let Some(budget) = budget {
         builder = builder.budget(budget);
     }
@@ -292,19 +287,16 @@ fn cohort_step_faults_retire_only_the_struck_member() {
     // An injected error or panic at the `cohort/step` failpoint lands on
     // exactly one member step: that member retires with a structured
     // trap, every sibling stays bit-identical to the fault-free cohort.
-    let _serial = fault::test_lock();
-    fault::clear();
     let module = square_module();
     let inputs: Vec<i32> = (0..8).collect();
-    let baseline = run_cohort(&module, &inputs, None);
+    let baseline = run_cohort(&module, &inputs, None, Faults::none());
     assert!(baseline.iter().all(|(r, _)| r.is_ok()), "baseline is clean");
 
     let mut casualties = 0;
     for spec in ["cohort/step=error:0.35", "cohort/step=panic:0.35:3"] {
         for seed in [1, 42, 1337] {
-            fault::configure(spec, seed).unwrap();
-            let out = run_cohort(&module, &inputs, None);
-            fault::clear();
+            let faults = Faults::parse(spec, seed).unwrap();
+            let out = run_cohort(&module, &inputs, None, faults);
             assert_eq!(out.len(), baseline.len(), "{spec}@{seed}: no lost members");
             for (i, (row, want)) in out.iter().zip(&baseline).enumerate() {
                 match &row.0 {
@@ -328,10 +320,8 @@ fn cohort_deadline_retires_only_the_runaway_member() {
     // One member spins forever; the pipeline budget's deadline reclaims
     // it while its siblings — already finished in the first round —
     // stay bit-identical to an ungoverned cohort of the same inputs.
-    let _serial = fault::test_lock();
-    fault::clear();
     let module = conditional_spin_module();
-    let baseline = run_cohort(&module, &[0, 0, 0], None);
+    let baseline = run_cohort(&module, &[0, 0, 0], None, Faults::none());
     assert!(baseline.iter().all(|(r, _)| r.is_ok()), "baseline is clean");
 
     let started = Instant::now();
@@ -339,6 +329,7 @@ fn cohort_deadline_retires_only_the_runaway_member() {
         &module,
         &[0, 0, 1, 0],
         Some(Budget::new().deadline(Duration::from_millis(100))),
+        Faults::none(),
     );
     assert!(
         started.elapsed() < Duration::from_secs(30),

@@ -119,3 +119,40 @@ proptest! {
         }
     }
 }
+
+#[test]
+fn megabyte_strings_parse_in_linear_time() {
+    // Long plain runs between escapes, multibyte and astral characters:
+    // the parser copies each plain run as one slice, so a 1 MB string
+    // costs one pass, not one pass per character.
+    let chunk = "plain ascii text é ß ☃ 𝄞 \"quoted\" back\\slash\ttab\n\u{1}";
+    let big: String = chunk.repeat((1 << 20) / chunk.len() + 1);
+    assert!(big.len() >= 1 << 20);
+    let value = JsonValue::Array(vec![JsonValue::Str(big), JsonValue::UInt(7)]);
+    let text = emit(&value);
+    let started = std::time::Instant::now();
+    assert_eq!(parse(&text).expect("valid JSON"), value);
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(5),
+        "1 MB string took {:?}",
+        started.elapsed()
+    );
+
+    // Escapes and multibyte characters at run boundaries.
+    for (json, want) in [
+        (r#""""#, ""),
+        (r#""é""#, "é"),
+        (r#""a\"b""#, "a\"b"),
+        (r#""\\""#, "\\"),
+        (r#""xéy""#, "xéy"),
+        (r#""☃\n𝄞""#, "☃\n𝄞"),
+        // A surrogate pair decodes to one astral character.
+        (r#""\ud834\udd1e""#, "𝄞"),
+        (r#""a\ud834\udd1eb""#, "a𝄞b"),
+    ] {
+        assert_eq!(parse(json).unwrap(), JsonValue::Str(want.into()), "{json}");
+    }
+    assert!(parse(r#""\ud834""#).is_err(), "unpaired surrogate");
+    assert!(parse("\"a\u{1}b\"").is_err(), "raw control byte");
+    assert!(parse("\"unterminated").is_err());
+}

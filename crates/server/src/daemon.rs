@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use wasabi::fleet::{AnalysisFactory, Fleet};
 use wasabi::report::JsonValue;
-use wasabi::{stats, CancelToken, DiskCache, Job, ModuleCache};
+use wasabi::{stats, CancelToken, DiskCache, Faults, Job, ModuleCache};
 use wasabi_wasm::instr::Val;
 
 use crate::protocol::{
@@ -722,7 +722,7 @@ fn handle_submit(
         }
         // Failpoint: a fault at the frame layer behaves exactly like the
         // client vanishing mid-stream.
-        if let Some(message) = wasabi::fault::fire("server/frame") {
+        if let Some(message) = Faults::process().fire("server/frame") {
             write_error = Some(io::Error::other(message));
             return;
         }

@@ -23,10 +23,17 @@
 //! per-call target match, and [`Instance::host_call_counts`] reports how
 //! many calls took the intrinsic vs. the generic route.
 //!
+//! There is one dispatch loop. Every execution is a [`Resumable`]
+//! activation: explicit frames over one shared value stack that holds the
+//! locals and operands of every frame, so a call pushes a small frame
+//! record instead of recursing or allocating. [`Instance::invoke`] runs an
+//! activation to completion in one round; cohort execution
+//! ([`crate::cohort`]) runs many in bounded rounds.
+//!
 //! `executed_instrs` counts **original** instructions (each op carries the
-//! number of instructions it was fused from), accumulated in a per-frame
-//! local and flushed on frame exit, so the count — and fuel accounting —
-//! is exactly equal to the structured-walk semantics.
+//! number of instructions it was fused from), accumulated in a per-round
+//! local and flushed when the round ends, so the count — and fuel
+//! accounting — is exactly equal to the structured-walk semantics.
 
 use std::sync::Arc;
 
@@ -46,10 +53,11 @@ use crate::trap::{InstantiationError, Trap};
 
 /// Default limit on nested WebAssembly calls.
 ///
-/// Each WebAssembly frame is an interpreter stack frame, so the limit is
-/// conservative enough for 2 MiB threads even in debug builds (where the
-/// interpreter's dispatch frame is at its largest); raise it with
-/// [`Instance::set_max_call_depth`] for deeply recursive workloads.
+/// WebAssembly frames are data on the heap, not native stack frames, so
+/// the limit bounds memory only; raise it with
+/// [`Instance::set_max_call_depth`] for deeply recursive workloads. The
+/// default matches the recursive [`crate::Reference`] oracle, which does
+/// recurse natively and must trap at the same depth.
 pub const DEFAULT_MAX_CALL_DEPTH: usize = 256;
 
 /// Where a function index leads: interpreted code or a host function.
@@ -657,14 +665,13 @@ impl Instance {
         args: &[Val],
         host: &mut dyn Host,
     ) -> Result<Vec<Val>, Trap> {
-        let idx = self
-            .module
-            .export_function(name)
-            .ok_or_else(|| Trap::HostError(format!("no exported function {name:?}")))?;
+        let idx = self.export_index(name)?;
         self.invoke(idx, args, host)
     }
 
-    /// Invoke the function at `func_idx`.
+    /// Invoke the function at `func_idx` to completion: a
+    /// [`Instance::begin_resumable`] activation resumed once with an
+    /// unbounded quota.
     ///
     /// # Errors
     ///
@@ -676,99 +683,53 @@ impl Instance {
         args: &[Val],
         host: &mut dyn Host,
     ) -> Result<Vec<Val>, Trap> {
-        let ty = &self.module.functions[func_idx.to_usize()].type_;
-        if ty.params.len() != args.len() || ty.params.iter().zip(args).any(|(&p, a)| a.ty() != p) {
-            return Err(Trap::HostError(format!(
-                "invoke arguments {args:?} do not match type {ty}"
-            )));
-        }
-        self.call_function(func_idx, args, host, 0)
-    }
-
-    pub(crate) fn call_function(
-        &mut self,
-        func_idx: Idx<FunctionSpace>,
-        args: &[Val],
-        host: &mut dyn Host,
-        depth: usize,
-    ) -> Result<Vec<Val>, Trap> {
-        if depth >= self.max_call_depth {
-            return Err(Trap::CallStackExhausted);
-        }
-        match self.func_targets[func_idx.to_usize()] {
-            FuncTarget::Host(id) => {
-                self.host_calls_slow += 1;
-                let ctx = HostCtx {
-                    memory: self.memory.as_mut(),
-                    table: self.table.as_mut(),
-                    globals: &mut self.globals,
-                };
-                host.call(id, args, ctx)
-            }
-            FuncTarget::Wasm => self.run_wasm_function(func_idx, args, host, depth),
+        let mut activation = self.begin_resumable(func_idx, args)?;
+        match self.resume(&mut activation, host, u64::MAX)? {
+            StepOutcome::Done(results) => Ok(results),
+            StepOutcome::Pending => unreachable!("an unbounded quota never preempts"),
         }
     }
 
-    /// The generic `call` op body. Never inlined: the result buffer and
-    /// call bookkeeping must not enlarge the recursive
-    /// [`Instance::exec_ops`] frame (the call-depth limit is sized for
-    /// 2 MiB threads in debug builds).
+    fn export_index(&self, name: &str) -> Result<Idx<FunctionSpace>, Trap> {
+        self.module
+            .export_function(name)
+            .ok_or_else(|| Trap::HostError(format!("no exported function {name:?}")))
+    }
+
+    /// One host call through the generic call machinery (a generic `call`
+    /// or `call_indirect` of an import, or the invocation of an import):
+    /// the host receives `values[at..]` and its results replace them.
     #[inline(never)]
-    fn call_op(
+    fn host_call_slow(
         &mut self,
-        callee: u32,
-        stack: &mut Vec<Val>,
+        id: HostFuncId,
+        values: &mut Vec<Val>,
         at: usize,
         host: &mut dyn Host,
-        depth: usize,
     ) -> Result<(), Trap> {
-        let results = self.call_function(Idx::from(callee), &stack[at..], host, depth + 1)?;
-        stack.truncate(at);
-        stack.extend_from_slice(&results);
-        Ok(())
-    }
-
-    /// The `call_indirect` op body (see [`Instance::call_op`] for why this
-    /// is a never-inlined helper).
-    #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
-    fn call_indirect_op(
-        &mut self,
-        code: &ModuleCode,
-        sig: u32,
-        params: u32,
-        table_idx: u32,
-        stack: &mut Vec<Val>,
-        host: &mut dyn Host,
-        depth: usize,
-    ) -> Result<(), Trap> {
-        let target = self
-            .table
-            .as_ref()
-            .expect("validated: table exists")
-            .lookup(table_idx)?;
-        let expected_ty = &code.sigs[sig as usize];
-        if &self.module.functions[target.to_usize()].type_ != expected_ty {
-            return Err(Trap::IndirectCallTypeMismatch);
-        }
-        let at = stack.len() - params as usize;
-        let results = self.call_function(target, &stack[at..], host, depth + 1)?;
-        stack.truncate(at);
-        stack.extend_from_slice(&results);
+        self.host_calls_slow += 1;
+        let ctx = HostCtx {
+            memory: self.memory.as_mut(),
+            table: self.table.as_mut(),
+            globals: &mut self.globals,
+        };
+        let results = host.call(id, &values[at..], ctx)?;
+        values.truncate(at);
+        values.extend_from_slice(&results);
         Ok(())
     }
 
     /// Dispatch one host-call intrinsic: the host receives
-    /// `stack[at..] ++ consts` and its results replace `stack[at..]`.
+    /// `values[at..] ++ consts` and its results replace `values[at..]`.
     ///
-    /// Never inlined: its temporaries must not enlarge the recursive
-    /// [`Instance::exec_ops`] frame (the call-depth limit is sized for
-    /// 2 MiB threads in debug builds).
+    /// Never inlined, like every host-call helper: the marshalling code
+    /// would otherwise bloat the dispatch loop and raise register pressure
+    /// on every op, not just on calls.
     #[inline(never)]
     fn host_call_fast(
         &mut self,
         func: u32,
-        stack: &mut Vec<Val>,
+        values: &mut Vec<Val>,
         at: usize,
         consts: &[Val],
         retc: u32,
@@ -776,7 +737,7 @@ impl Instance {
     ) -> Result<(), Trap> {
         self.host_calls_fast += 1;
         let id = self.host_ids[func as usize];
-        let results = if at == stack.len() {
+        let results = if at == values.len() {
             // All-constant argument list (or none at all): hand the host
             // the const-table slice directly, zero copying.
             let ctx = HostCtx {
@@ -786,19 +747,19 @@ impl Instance {
             };
             host.call(id, consts, ctx)?
         } else if consts.is_empty() {
-            // Arguments are already contiguous on the operand stack.
+            // Arguments are already contiguous on the value stack.
             let ctx = HostCtx {
                 memory: self.memory.as_mut(),
                 table: self.table.as_mut(),
                 globals: &mut self.globals,
             };
-            host.call(id, &stack[at..], ctx)?
+            host.call(id, &values[at..], ctx)?
         } else {
             // Mixed: stack prefix + constant tail, joined in the reused
             // scratch buffer (allocation-free in the steady state).
             let mut args = std::mem::take(&mut self.host_args);
             args.clear();
-            args.extend_from_slice(&stack[at..]);
+            args.extend_from_slice(&values[at..]);
             args.extend_from_slice(consts);
             let ctx = HostCtx {
                 memory: self.memory.as_mut(),
@@ -810,24 +771,24 @@ impl Instance {
             result?
         };
         debug_assert_eq!(results.len(), retc as usize, "host result arity");
-        stack.truncate(at);
-        stack.extend_from_slice(&results);
+        values.truncate(at);
+        values.extend_from_slice(&results);
         Ok(())
     }
 
     /// Dispatch one [`Op::HostCallArgs`] intrinsic: the host receives
-    /// `stack[at..]` followed by the template's values, gathered from the
-    /// frame's locals and the const table into the reused scratch buffer.
-    /// Never inlined, like [`Instance::host_call_fast`].
+    /// `values[at..]` followed by the template's values, gathered from the
+    /// frame's locals (starting at `values[locals]`) and the const table
+    /// into the reused scratch buffer.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn host_call_args(
         &mut self,
         func: u32,
-        stack: &mut Vec<Val>,
+        values: &mut Vec<Val>,
         at: usize,
         tpl: &[ArgSrc],
-        locals: &[Val],
+        locals: usize,
         retc: u32,
         host: &mut dyn Host,
     ) -> Result<(), Trap> {
@@ -835,10 +796,10 @@ impl Instance {
         let id = self.host_ids[func as usize];
         let mut args = std::mem::take(&mut self.host_args);
         args.clear();
-        args.extend_from_slice(&stack[at..]);
+        args.extend_from_slice(&values[at..]);
         for src in tpl {
             args.push(match src {
-                ArgSrc::Local(idx) => locals[*idx as usize],
+                ArgSrc::Local(idx) => values[locals + *idx as usize],
                 ArgSrc::Value(v) => *v,
             });
         }
@@ -851,335 +812,9 @@ impl Instance {
         self.host_args = args;
         let results = result?;
         debug_assert_eq!(results.len(), retc as usize, "host result arity");
-        stack.truncate(at);
-        stack.extend_from_slice(&results);
+        values.truncate(at);
+        values.extend_from_slice(&results);
         Ok(())
-    }
-
-    fn run_wasm_function(
-        &mut self,
-        func_idx: Idx<FunctionSpace>,
-        args: &[Val],
-        host: &mut dyn Host,
-        depth: usize,
-    ) -> Result<Vec<Val>, Trap> {
-        // Instructions executed by this frame accumulate in a local and are
-        // flushed exactly once per frame — including on traps — instead of
-        // bumping the shared counter every step.
-        let mut steps = 0u64;
-        let result = self.exec_ops(func_idx, args, host, depth, &mut steps);
-        self.executed_instrs += steps;
-        result
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn exec_ops(
-        &mut self,
-        func_idx: Idx<FunctionSpace>,
-        args: &[Val],
-        host: &mut dyn Host,
-        depth: usize,
-        steps: &mut u64,
-    ) -> Result<Vec<Val>, Trap> {
-        // Keep the code reachable while `self` is mutated during execution.
-        let code = Arc::clone(&self.code);
-        let func = &code.funcs[func_idx.to_usize()];
-        let ops: &[Op] = &func.ops;
-
-        let mut locals: Vec<Val> = Vec::with_capacity(args.len() + func.zeros.len());
-        locals.extend_from_slice(args);
-        locals.extend_from_slice(&func.zeros);
-
-        let mut stack: Vec<Val> = Vec::with_capacity(16);
-        let mut pc = 0usize;
-
-        macro_rules! pop {
-            () => {
-                stack.pop().expect("validated: operand on stack")
-            };
-        }
-        macro_rules! pop_i32 {
-            () => {
-                pop!().as_i32().expect("validated: i32 operand")
-            };
-        }
-        /// Take a resolved branch: either leave the function with the
-        /// carried values, or unwind the value stack and jump.
-        macro_rules! branch_to {
-            ($dest:expr) => {{
-                let dest = $dest;
-                if dest.target == RETURN_TARGET {
-                    return Ok(take_top(stack, dest.keep as usize));
-                }
-                unwind(&mut stack, dest.keep as usize, dest.height as usize);
-                pc = dest.target as usize;
-                continue;
-            }};
-        }
-
-        // Fuel cannot appear mid-run (only `set_fuel` between invocations
-        // installs it), so the common no-fuel case pays one predictable
-        // branch per op instead of an `Option` inspection. The budget
-        // check is hoisted the same way: ungoverned runs see one
-        // never-taken branch, governed runs decrement a countdown and
-        // touch the clock/token only when it hits zero.
-        let fuel_active = self.fuel.is_some();
-        let budget_active = self.budget.is_some();
-
-        loop {
-            let op = &ops[pc];
-            let w = op.weight();
-            *steps += w;
-            if fuel_active {
-                let fuel = self.fuel.as_mut().expect("fuel checked active");
-                if *fuel < w {
-                    // The structured-walk semantics counts every instruction
-                    // it could still afford plus the one that trapped.
-                    *steps = *steps - w + *fuel + 1;
-                    *fuel = 0;
-                    return Err(Trap::OutOfFuel);
-                }
-                *fuel -= w;
-            }
-            if budget_active {
-                self.poll_countdown = self.poll_countdown.saturating_sub(w);
-                if self.poll_countdown == 0 {
-                    self.check_budget()?;
-                }
-            }
-
-            match op {
-                Op::Skip => {}
-                Op::Unreachable => return Err(Trap::Unreachable),
-                Op::Goto(target) => {
-                    pc = *target as usize;
-                    continue;
-                }
-                Op::IfNot(target) => {
-                    if pop_i32!() == 0 {
-                        pc = *target as usize;
-                        continue;
-                    }
-                }
-                Op::Br(dest) => branch_to!(dest),
-                Op::BrIf(dest) => {
-                    if pop_i32!() != 0 {
-                        branch_to!(dest);
-                    }
-                }
-                Op::BrTable(table) => {
-                    let idx = pop_i32!() as u32 as usize;
-                    let dest = table.dests.get(idx).unwrap_or(&table.default);
-                    branch_to!(dest);
-                }
-                Op::Return => return Ok(take_top(stack, func.arity)),
-
-                Op::Call { callee, params } => {
-                    let at = stack.len() - *params as usize;
-                    self.call_op(*callee, &mut stack, at, host, depth)?;
-                }
-                // Host-call intrinsics (see `flat`): the callee's host
-                // identity was resolved at instantiation, the arguments are
-                // passed straight off the operand stack (plus the folded
-                // constant tail from the module const table) — no
-                // interpreter frame, no function-target match. The body
-                // lives in a never-inlined helper so this (recursive)
-                // frame stays small.
-                Op::HostCall { func, argc, retc } => {
-                    if depth + 1 >= self.max_call_depth {
-                        return Err(Trap::CallStackExhausted);
-                    }
-                    let at = stack.len() - *argc as usize;
-                    // No-op mask (direct-emit instrumentation): a hook the
-                    // host declared dead retires here — weight, fuel, and
-                    // the depth check above were already paid, so traps and
-                    // `executed_instrs` are unchanged; only argument
-                    // marshalling and the host boundary are skipped. Hooks
-                    // return no results (`retc == 0`), so popping the
-                    // arguments restores the stack exactly.
-                    if self.host_noop[*func as usize] {
-                        debug_assert_eq!(*retc, 0, "no-op mask requires resultless hooks");
-                        self.host_calls_fast += 1;
-                        stack.truncate(at);
-                    } else {
-                        self.host_call_fast(*func, &mut stack, at, &[], *retc, host)?;
-                    }
-                }
-                Op::HostCallConst {
-                    func,
-                    stack_argc,
-                    retc,
-                    const_at,
-                    const_len,
-                } => {
-                    if depth + 1 >= self.max_call_depth {
-                        return Err(Trap::CallStackExhausted);
-                    }
-                    let at = stack.len() - *stack_argc as usize;
-                    if self.host_noop[*func as usize] {
-                        debug_assert_eq!(*retc, 0, "no-op mask requires resultless hooks");
-                        self.host_calls_fast += 1;
-                        stack.truncate(at);
-                    } else {
-                        let consts =
-                            &code.consts[*const_at as usize..(*const_at + *const_len) as usize];
-                        self.host_call_fast(*func, &mut stack, at, consts, *retc, host)?;
-                    }
-                }
-                Op::HostCallArgs {
-                    func,
-                    stack_argc,
-                    retc,
-                    args_at,
-                    args_len,
-                } => {
-                    if depth + 1 >= self.max_call_depth {
-                        return Err(Trap::CallStackExhausted);
-                    }
-                    let at = stack.len() - *stack_argc as usize;
-                    if self.host_noop[*func as usize] {
-                        debug_assert_eq!(*retc, 0, "no-op mask requires resultless hooks");
-                        self.host_calls_fast += 1;
-                        stack.truncate(at);
-                    } else {
-                        let tpl = &code.args[*args_at as usize..(*args_at + *args_len) as usize];
-                        self.host_call_args(*func, &mut stack, at, tpl, &locals, *retc, host)?;
-                    }
-                }
-                Op::CallIndirect { sig, params } => {
-                    let table_idx = pop_i32!() as u32;
-                    self.call_indirect_op(
-                        &code, *sig, *params, table_idx, &mut stack, host, depth,
-                    )?;
-                }
-
-                Op::Drop => {
-                    pop!();
-                }
-                Op::Select => {
-                    let cond = pop_i32!();
-                    let second = pop!();
-                    let first = pop!();
-                    stack.push(if cond != 0 { first } else { second });
-                }
-
-                Op::LocalGet(idx) => stack.push(locals[*idx as usize]),
-                Op::LocalSet(idx) => locals[*idx as usize] = pop!(),
-                Op::LocalTee(idx) => {
-                    locals[*idx as usize] = *stack.last().expect("validated: operand");
-                }
-                Op::GlobalGet(idx) => stack.push(self.globals[*idx as usize]),
-                Op::GlobalSet(idx) => self.globals[*idx as usize] = pop!(),
-
-                Op::Load { op, offset } => {
-                    let addr = pop_i32!() as u32;
-                    let memory = self.memory.as_ref().expect("validated: memory exists");
-                    stack.push(load_value(memory, *op, addr, *offset)?);
-                }
-                Op::Store { op, offset } => {
-                    let value = pop!();
-                    let addr = pop_i32!() as u32;
-                    let memory = self.memory.as_mut().expect("validated: memory exists");
-                    store_value(memory, *op, addr, *offset, value)?;
-                }
-                Op::MemorySize => {
-                    let memory = self.memory.as_ref().expect("validated: memory exists");
-                    stack.push(Val::I32(memory.size_pages() as i32));
-                }
-                Op::MemoryGrow => {
-                    let delta = pop_i32!() as u32;
-                    if budget_active {
-                        if let Some(cap) = self.budget.as_ref().and_then(Budget::memory_cap) {
-                            let current = self
-                                .memory
-                                .as_ref()
-                                .expect("validated: memory exists")
-                                .size_pages();
-                            if current.saturating_add(delta) > cap {
-                                return Err(Trap::MemoryLimit);
-                            }
-                        }
-                    }
-                    let memory = self.memory.as_mut().expect("validated: memory exists");
-                    stack.push(Val::I32(memory.grow(delta)));
-                }
-
-                Op::Const(val) => stack.push(*val),
-                Op::Unary(op) => {
-                    let v = pop!();
-                    stack.push(numeric::unary(*op, v)?);
-                }
-                Op::Binary(op) => {
-                    let b = pop!();
-                    let a = pop!();
-                    stack.push(numeric::binary(*op, a, b)?);
-                }
-
-                Op::ConstBinary { value, op } => {
-                    let a = pop!();
-                    stack.push(numeric::binary(*op, a, *value)?);
-                }
-                Op::LocalBinary { local, op } => {
-                    let a = pop!();
-                    stack.push(numeric::binary(*op, a, locals[*local as usize])?);
-                }
-                Op::LocalLocalBinary { a, b, op } => {
-                    stack.push(numeric::binary(
-                        *op,
-                        locals[*a as usize],
-                        locals[*b as usize],
-                    )?);
-                }
-                Op::LocalConstBinary { a, value, op } => {
-                    stack.push(numeric::binary(*op, locals[*a as usize], *value)?);
-                }
-                Op::LocalConstBinarySet { a, value, op, dst } => {
-                    locals[*dst as usize] = numeric::binary(*op, locals[*a as usize], *value)?;
-                }
-                Op::CmpBrIf { op, dest } => {
-                    let b = pop!();
-                    let a = pop!();
-                    let taken = numeric::binary(*op, a, b)?
-                        .as_i32()
-                        .expect("comparison yields i32");
-                    if taken != 0 {
-                        branch_to!(dest);
-                    }
-                }
-                Op::LocalConstCmpBrIf { a, value, op, dest } => {
-                    let taken = numeric::binary(*op, locals[*a as usize], *value)?
-                        .as_i32()
-                        .expect("comparison yields i32");
-                    if taken != 0 {
-                        branch_to!(dest);
-                    }
-                }
-                Op::LocalLocalCmpBrIf { a, b, op, dest } => {
-                    let taken = numeric::binary(*op, locals[*a as usize], locals[*b as usize])?
-                        .as_i32()
-                        .expect("comparison yields i32");
-                    if taken != 0 {
-                        branch_to!(dest);
-                    }
-                }
-                Op::AffineAddr { a, c1, b, c2 } => {
-                    stack.push(Val::I32(affine(&locals, *a, *c1, *b, *c2)));
-                }
-                Op::AffineLoad {
-                    a,
-                    c1,
-                    b,
-                    c2,
-                    load,
-                    offset,
-                } => {
-                    let addr = affine(&locals, *a, *c1, *b, *c2) as u32;
-                    let memory = self.memory.as_ref().expect("validated: memory exists");
-                    stack.push(load_value(memory, *load, addr, *offset)?);
-                }
-            }
-            pc += 1;
-        }
     }
 }
 
@@ -1194,32 +829,32 @@ pub enum StepOutcome {
     Done(Vec<Val>),
 }
 
-/// One suspended activation frame of a [`Resumable`]: a function, its
-/// program counter, and the frame-owned locals and operand stack.
-#[derive(Debug)]
+/// One activation frame of a [`Resumable`]. Its locals and operands live
+/// on the activation's shared value stack: the locals (arguments first)
+/// at `values[locals..stack]`, the operand stack from `values[stack]` up
+/// to the next frame's locals (or the end, for the top frame).
+#[derive(Debug, Clone, Copy)]
 struct Frame {
     func: u32,
     pc: usize,
-    locals: Vec<Val>,
-    stack: Vec<Val>,
+    locals: usize,
+    stack: usize,
 }
 
-/// A suspended (resumable) invocation of one function, driven in bounded
-/// rounds by [`Instance::resume`].
+/// An invocation of one function, driven in bounded rounds by
+/// [`Instance::resume`].
 ///
-/// Unlike [`Instance::invoke`] — whose WebAssembly frames are recursive
-/// interpreter frames and therefore cannot be suspended — a `Resumable`
-/// keeps its call stack as explicit frames, so execution can stop
-/// after a weight quota and continue later with zero re-execution and
-/// zero double-counting. This is what cohort execution
-/// ([`crate::cohort::CohortRunner`]) interleaves N instances on.
-///
-/// All observable semantics (results, traps and their order, fuel
-/// accounting including the out-of-fuel adjustment, budget poll cadence,
-/// `executed_instrs`, host-call counters, call-depth limits) are
-/// **bit-identical** to the recursive path; the differential suites
-/// (`tests/cohort_vs_sequential.rs`, the repo-level instrumented oracle)
-/// pin this equivalence on random modules.
+/// The call stack is data, not native recursion: explicit frame records over
+/// one shared value stack, so execution can stop after a weight quota and
+/// continue later with zero re-execution and zero double-counting, and
+/// the call-depth limit ([`Instance::set_max_call_depth`]) bounds only
+/// heap use. This is the only way the interpreter executes code:
+/// [`Instance::invoke`] is one resume with an unbounded quota, and cohort
+/// execution ([`crate::cohort::CohortRunner`]) interleaves N instances'
+/// activations in small rounds. How a run is cut into rounds is
+/// unobservable: results, traps, fuel, budget polls, `executed_instrs`
+/// and host-call counters are the same for any quota (the differential
+/// suite `tests/cohort_vs_sequential.rs` pins this on random modules).
 ///
 /// A `Resumable` is tied to the [`Instance`] that created it: resuming it
 /// against a different instance is a logic error (frames index that
@@ -1262,10 +897,12 @@ struct Frame {
 #[derive(Debug)]
 pub struct Resumable {
     frames: Vec<Frame>,
+    /// Locals and operands of every frame, bottom frame first.
+    values: Vec<Val>,
     /// `Some` when the invoked function itself is a host import: the call
     /// happens wholesale on the first resume (there is no wasm frame to
-    /// suspend), mirroring [`Instance::call_function`]'s host arm.
-    entry_host: Option<(u32, Vec<Val>)>,
+    /// suspend), with the arguments in `values`.
+    entry_host: Option<HostFuncId>,
     done: bool,
 }
 
@@ -1292,10 +929,7 @@ impl Instance {
     /// type mismatch is a [`Trap::HostError`] (reported immediately, not
     /// on first resume).
     pub fn begin_resumable_export(&mut self, name: &str, args: &[Val]) -> Result<Resumable, Trap> {
-        let idx = self
-            .module
-            .export_function(name)
-            .ok_or_else(|| Trap::HostError(format!("no exported function {name:?}")))?;
+        let idx = self.export_index(name)?;
         self.begin_resumable(idx, args)
     }
 
@@ -1306,8 +940,8 @@ impl Instance {
     /// # Errors
     ///
     /// Argument count/type mismatches are a [`Trap::HostError`]; a
-    /// call-depth limit of zero is [`Trap::CallStackExhausted`] (the same
-    /// check the recursive entry performs before its first frame).
+    /// call-depth limit of zero is [`Trap::CallStackExhausted`] (the
+    /// invoked function itself would exceed it).
     pub fn begin_resumable(
         &mut self,
         func_idx: Idx<FunctionSpace>,
@@ -1322,38 +956,40 @@ impl Instance {
         if self.max_call_depth == 0 {
             return Err(Trap::CallStackExhausted);
         }
-        match self.func_targets[func_idx.to_usize()] {
-            FuncTarget::Host(_) => Ok(Resumable {
-                frames: Vec::new(),
-                entry_host: Some((func_idx.to_usize() as u32, args.to_vec())),
-                done: false,
-            }),
+        let (frames, values, entry_host) = match self.func_targets[func_idx.to_usize()] {
+            FuncTarget::Host(id) => (Vec::new(), args.to_vec(), Some(id)),
             FuncTarget::Wasm => {
-                let func = &self.code.funcs[func_idx.to_usize()];
-                let mut locals = Vec::with_capacity(args.len() + func.zeros.len());
-                locals.extend_from_slice(args);
-                locals.extend_from_slice(&func.zeros);
-                Ok(Resumable {
-                    frames: vec![Frame {
-                        func: func_idx.to_usize() as u32,
-                        pc: 0,
-                        locals,
-                        stack: Vec::with_capacity(16),
-                    }],
-                    entry_host: None,
-                    done: false,
-                })
+                let zeros = &self.code.funcs[func_idx.to_usize()].zeros;
+                // Room for the entry frame's operands, so short runs do
+                // not regrow the stack op by op.
+                let mut values = Vec::with_capacity(args.len() + zeros.len() + 16);
+                values.extend_from_slice(args);
+                values.extend_from_slice(zeros);
+                let entry = Frame {
+                    func: func_idx.to_usize() as u32,
+                    pc: 0,
+                    locals: 0,
+                    stack: values.len(),
+                };
+                (vec![entry], values, None)
             }
-        }
+        };
+        Ok(Resumable {
+            frames,
+            values,
+            entry_host,
+            done: false,
+        })
     }
 
     /// Run the activation for (at least) one op and at most ~`quota`
     /// weight units, then suspend. Returns [`StepOutcome::Pending`] when
     /// the quota preempted execution, [`StepOutcome::Done`] with the
-    /// results when the invoked function returned; traps finish the
-    /// activation exactly like the recursive path.
+    /// results when the invoked function returned; a trap finishes the
+    /// activation.
     ///
-    /// The quota is checked *before* each op executes, so a preempted
+    /// A quota of `u64::MAX` is unbounded: the round runs to completion.
+    /// Otherwise the quota is checked *before* each op executes, so a preempted
     /// round resumes at the saved program counter with no op executed or
     /// accounted twice. An op's full weight is always spent once started
     /// (a round may overshoot the quota by at most one superinstruction).
@@ -1372,28 +1008,23 @@ impl Instance {
         quota: u64,
     ) -> Result<StepOutcome, Trap> {
         assert!(!activation.done, "resume called on a finished Resumable");
-        if let Some((func, args)) = activation.entry_host.take() {
+        if let Some(id) = activation.entry_host.take() {
             // The invoked function is itself a host import: one slow host
-            // call, no wasm frames (`call_function`'s host arm, depth 0).
+            // call, no wasm frames.
             activation.done = true;
-            let FuncTarget::Host(id) = self.func_targets[func as usize] else {
-                unreachable!("entry_host recorded for a wasm target");
-            };
-            self.host_calls_slow += 1;
-            let ctx = HostCtx {
-                memory: self.memory.as_mut(),
-                table: self.table.as_mut(),
-                globals: &mut self.globals,
-            };
-            return host.call(id, &args, ctx).map(StepOutcome::Done);
+            self.host_call_slow(id, &mut activation.values, 0, host)?;
+            return Ok(StepOutcome::Done(std::mem::take(&mut activation.values)));
         }
         let code = Arc::clone(&self.code);
-        // Like `run_wasm_function`: steps accumulate in a round-local and
-        // flush once — including on traps — so `executed_instrs` equals
-        // the recursive path's sum of per-frame flushes.
+        // Executed instructions accumulate in a round-local and are
+        // flushed exactly once per round — including on traps — instead of
+        // bumping the shared counter every step.
         let mut steps = 0u64;
-        let mut remaining = quota.max(1);
-        let result = self.resume_frames(&code, activation, host, &mut steps, &mut remaining);
+        let result = if quota == u64::MAX {
+            self.run::<false>(&code, activation, host, &mut steps, quota)
+        } else {
+            self.run::<true>(&code, activation, host, &mut steps, quota.max(1))
+        };
         self.executed_instrs += steps;
         if !matches!(result, Ok(StepOutcome::Pending)) {
             activation.done = true;
@@ -1401,439 +1032,409 @@ impl Instance {
         result
     }
 
-    /// The resumable dispatch loop. This deliberately mirrors
-    /// [`Instance::exec_ops`] arm for arm — weight, fuel (including the
-    /// out-of-fuel `steps` adjustment), budget-poll cadence, depth checks,
-    /// and host-call counters must stay bit-identical, and the cohort
-    /// differential suites pin that equality. The only structural
-    /// difference: wasm calls push an explicit [`Frame`] instead of
-    /// recursing, returns pop it, and the weight quota can suspend the
-    /// loop between ops.
+    /// The dispatch loop — the only one; [`Instance::invoke`] and cohort
+    /// rounds both run here. The top frame's program counter and bases
+    /// live in locals while it runs; they are written back to its
+    /// [`Frame`] only when a call pushes a new frame or the quota suspends
+    /// the loop. `BOUNDED = false` is the instance for an unbounded quota:
+    /// it compiles the per-op quota check out.
     #[allow(clippy::too_many_lines)]
-    fn resume_frames(
+    fn run<const BOUNDED: bool>(
         &mut self,
         code: &ModuleCode,
         activation: &mut Resumable,
         host: &mut dyn Host,
         steps: &mut u64,
-        remaining: &mut u64,
+        mut remaining: u64,
     ) -> Result<StepOutcome, Trap> {
+        // Work on owned stacks, handed back only on suspension: through
+        // `&mut activation` every value-stack access would reload the
+        // vector's header after each store.
+        let mut frames = std::mem::take(&mut activation.frames);
+        let mut values = std::mem::take(&mut activation.values);
+        let top = *frames.last().expect("resumable has a live frame");
+        let mut ops: &[Op] = &code.funcs[top.func as usize].ops;
+        let mut arity = code.funcs[top.func as usize].arity;
+        let mut pc = top.pc;
+        let mut locals = top.locals;
+        let mut base = top.stack;
+
+        // Fuel cannot appear mid-run (only `set_fuel` between invocations
+        // installs it), so the common no-fuel case pays one predictable
+        // branch per op instead of an `Option` inspection. The budget
+        // check is hoisted the same way: ungoverned runs see one
+        // never-taken branch, governed runs decrement a countdown and
+        // touch the clock/token only when it hits zero.
         let fuel_active = self.fuel.is_some();
         let budget_active = self.budget.is_some();
 
-        'frames: loop {
-            let depth = activation.frames.len() - 1;
-            let frame = activation
-                .frames
-                .last_mut()
-                .expect("resumable has a live frame");
-            let func = &code.funcs[frame.func as usize];
-            let ops: &[Op] = &func.ops;
-
-            'dispatch: loop {
-                // Defined inside the labeled loop so `continue 'dispatch` /
-                // `continue 'frames` resolve (labels are macro-hygienic).
-                macro_rules! pop {
-                    () => {
-                        frame.stack.pop().expect("validated: operand on stack")
-                    };
-                }
-                macro_rules! pop_i32 {
-                    () => {
-                        pop!().as_i32().expect("validated: i32 operand")
-                    };
-                }
-                // Pop the top frame with `keep` results: either finish the
-                // activation or push the results onto the caller's stack.
-                macro_rules! ret {
-                    ($keep:expr) => {{
-                        let results = take_top(std::mem::take(&mut frame.stack), $keep);
-                        activation.frames.pop();
-                        match activation.frames.last_mut() {
-                            None => return Ok(StepOutcome::Done(results)),
-                            Some(parent) => {
-                                parent.stack.extend_from_slice(&results);
-                                continue 'frames;
-                            }
-                        }
-                    }};
-                }
-                // Take a resolved branch: either leave the function with the
-                // carried values, or unwind the value stack and jump.
-                macro_rules! branch_to {
-                    ($dest:expr) => {{
-                        let dest = $dest;
-                        if dest.target == RETURN_TARGET {
-                            ret!(dest.keep as usize);
-                        }
-                        unwind(&mut frame.stack, dest.keep as usize, dest.height as usize);
-                        frame.pc = dest.target as usize;
-                        continue 'dispatch;
-                    }};
-                }
-                if *remaining == 0 {
-                    return Ok(StepOutcome::Pending);
-                }
-                let op = &ops[frame.pc];
-                let w = op.weight();
-                *steps += w;
-                *remaining = remaining.saturating_sub(w);
-                if fuel_active {
-                    let fuel = self.fuel.as_mut().expect("fuel checked active");
-                    if *fuel < w {
-                        // The structured-walk semantics counts every
-                        // instruction it could still afford plus the one
-                        // that trapped.
-                        *steps = *steps - w + *fuel + 1;
-                        *fuel = 0;
-                        return Err(Trap::OutOfFuel);
-                    }
-                    *fuel -= w;
-                }
-                if budget_active {
-                    self.poll_countdown = self.poll_countdown.saturating_sub(w);
-                    if self.poll_countdown == 0 {
-                        self.check_budget()?;
-                    }
-                }
-
-                match op {
-                    Op::Skip => {}
-                    Op::Unreachable => return Err(Trap::Unreachable),
-                    Op::Goto(target) => {
-                        frame.pc = *target as usize;
+        macro_rules! pop {
+            () => {
+                values.pop().expect("validated: operand on stack")
+            };
+        }
+        macro_rules! pop_i32 {
+            () => {
+                pop!().as_i32().expect("validated: i32 operand")
+            };
+        }
+        macro_rules! local {
+            ($idx:expr) => {
+                values[locals + $idx as usize]
+            };
+        }
+        macro_rules! enter {
+            ($frame:expr) => {{
+                let frame: Frame = $frame;
+                let body = &code.funcs[frame.func as usize];
+                ops = &body.ops;
+                arity = body.arity;
+                pc = frame.pc;
+                locals = frame.locals;
+                base = frame.stack;
+            }};
+        }
+        // Leave the top frame with its top `keep` operands: they replace
+        // the frame's locals, which is where the caller's call arguments
+        // were. Then either finish the activation or continue the caller.
+        macro_rules! ret {
+            ($keep:expr) => {{
+                unwind(&mut values, $keep, locals);
+                frames.pop();
+                match frames.last() {
+                    None => return Ok(StepOutcome::Done(values)),
+                    Some(&caller) => {
+                        enter!(caller);
                         continue;
                     }
-                    Op::IfNot(target) => {
-                        if pop_i32!() == 0 {
-                            frame.pc = *target as usize;
-                            continue;
-                        }
-                    }
-                    Op::Br(dest) => branch_to!(dest),
-                    Op::BrIf(dest) => {
-                        if pop_i32!() != 0 {
-                            branch_to!(dest);
-                        }
-                    }
-                    Op::BrTable(table) => {
-                        let idx = pop_i32!() as u32 as usize;
-                        let dest = table.dests.get(idx).unwrap_or(&table.default);
-                        branch_to!(dest);
-                    }
-                    Op::Return => ret!(func.arity),
-
-                    Op::Call { callee, params } => {
-                        // `call_op` → `call_function(depth + 1)`: the new
-                        // frame's depth is checked before the target match.
-                        if depth + 1 >= self.max_call_depth {
-                            return Err(Trap::CallStackExhausted);
-                        }
-                        let at = frame.stack.len() - *params as usize;
-                        match self.func_targets[*callee as usize] {
-                            FuncTarget::Host(id) => {
-                                self.host_calls_slow += 1;
-                                let ctx = HostCtx {
-                                    memory: self.memory.as_mut(),
-                                    table: self.table.as_mut(),
-                                    globals: &mut self.globals,
-                                };
-                                let results = host.call(id, &frame.stack[at..], ctx)?;
-                                frame.stack.truncate(at);
-                                frame.stack.extend_from_slice(&results);
-                            }
-                            FuncTarget::Wasm => {
-                                let callee_func = &code.funcs[*callee as usize];
-                                let mut locals =
-                                    Vec::with_capacity(*params as usize + callee_func.zeros.len());
-                                locals.extend_from_slice(&frame.stack[at..]);
-                                locals.extend_from_slice(&callee_func.zeros);
-                                frame.stack.truncate(at);
-                                // Resume after the call once the callee
-                                // returns (the recursive loop's `pc += 1`).
-                                frame.pc += 1;
-                                activation.frames.push(Frame {
-                                    func: *callee,
-                                    pc: 0,
-                                    locals,
-                                    stack: Vec::with_capacity(16),
-                                });
-                                continue 'frames;
-                            }
-                        }
-                    }
-                    Op::HostCall { func, argc, retc } => {
-                        if depth + 1 >= self.max_call_depth {
-                            return Err(Trap::CallStackExhausted);
-                        }
-                        let at = frame.stack.len() - *argc as usize;
-                        if self.host_noop[*func as usize] {
-                            debug_assert_eq!(*retc, 0, "no-op mask requires resultless hooks");
-                            self.host_calls_fast += 1;
-                            frame.stack.truncate(at);
-                        } else {
-                            self.host_call_fast(*func, &mut frame.stack, at, &[], *retc, host)?;
-                        }
-                    }
-                    Op::HostCallConst {
-                        func,
-                        stack_argc,
-                        retc,
-                        const_at,
-                        const_len,
-                    } => {
-                        if depth + 1 >= self.max_call_depth {
-                            return Err(Trap::CallStackExhausted);
-                        }
-                        let at = frame.stack.len() - *stack_argc as usize;
-                        if self.host_noop[*func as usize] {
-                            debug_assert_eq!(*retc, 0, "no-op mask requires resultless hooks");
-                            self.host_calls_fast += 1;
-                            frame.stack.truncate(at);
-                        } else {
-                            let consts =
-                                &code.consts[*const_at as usize..(*const_at + *const_len) as usize];
-                            self.host_call_fast(*func, &mut frame.stack, at, consts, *retc, host)?;
-                        }
-                    }
-                    Op::HostCallArgs {
-                        func,
-                        stack_argc,
-                        retc,
-                        args_at,
-                        args_len,
-                    } => {
-                        if depth + 1 >= self.max_call_depth {
-                            return Err(Trap::CallStackExhausted);
-                        }
-                        let at = frame.stack.len() - *stack_argc as usize;
-                        if self.host_noop[*func as usize] {
-                            debug_assert_eq!(*retc, 0, "no-op mask requires resultless hooks");
-                            self.host_calls_fast += 1;
-                            frame.stack.truncate(at);
-                        } else {
-                            let tpl =
-                                &code.args[*args_at as usize..(*args_at + *args_len) as usize];
-                            self.host_call_args(
-                                *func,
-                                &mut frame.stack,
-                                at,
-                                tpl,
-                                &frame.locals,
-                                *retc,
-                                host,
-                            )?;
-                        }
-                    }
-                    Op::CallIndirect { sig, params } => {
-                        // `call_indirect_op`: table lookup and signature
-                        // check trap before the depth check.
-                        let table_idx = pop_i32!() as u32;
-                        let target = self
-                            .table
-                            .as_ref()
-                            .expect("validated: table exists")
-                            .lookup(table_idx)?;
-                        let expected_ty = &code.sigs[*sig as usize];
-                        if &self.module.functions[target.to_usize()].type_ != expected_ty {
-                            return Err(Trap::IndirectCallTypeMismatch);
-                        }
-                        if depth + 1 >= self.max_call_depth {
-                            return Err(Trap::CallStackExhausted);
-                        }
-                        let at = frame.stack.len() - *params as usize;
-                        match self.func_targets[target.to_usize()] {
-                            FuncTarget::Host(id) => {
-                                self.host_calls_slow += 1;
-                                let ctx = HostCtx {
-                                    memory: self.memory.as_mut(),
-                                    table: self.table.as_mut(),
-                                    globals: &mut self.globals,
-                                };
-                                let results = host.call(id, &frame.stack[at..], ctx)?;
-                                frame.stack.truncate(at);
-                                frame.stack.extend_from_slice(&results);
-                            }
-                            FuncTarget::Wasm => {
-                                let callee_func = &code.funcs[target.to_usize()];
-                                let mut locals =
-                                    Vec::with_capacity(*params as usize + callee_func.zeros.len());
-                                locals.extend_from_slice(&frame.stack[at..]);
-                                locals.extend_from_slice(&callee_func.zeros);
-                                frame.stack.truncate(at);
-                                frame.pc += 1;
-                                activation.frames.push(Frame {
-                                    func: target.to_usize() as u32,
-                                    pc: 0,
-                                    locals,
-                                    stack: Vec::with_capacity(16),
-                                });
-                                continue 'frames;
-                            }
-                        }
-                    }
-
-                    Op::Drop => {
-                        pop!();
-                    }
-                    Op::Select => {
-                        let cond = pop_i32!();
-                        let second = pop!();
-                        let first = pop!();
-                        frame.stack.push(if cond != 0 { first } else { second });
-                    }
-
-                    Op::LocalGet(idx) => frame.stack.push(frame.locals[*idx as usize]),
-                    Op::LocalSet(idx) => frame.locals[*idx as usize] = pop!(),
-                    Op::LocalTee(idx) => {
-                        frame.locals[*idx as usize] =
-                            *frame.stack.last().expect("validated: operand");
-                    }
-                    Op::GlobalGet(idx) => frame.stack.push(self.globals[*idx as usize]),
-                    Op::GlobalSet(idx) => self.globals[*idx as usize] = pop!(),
-
-                    Op::Load { op, offset } => {
-                        let addr = pop_i32!() as u32;
-                        let memory = self.memory.as_ref().expect("validated: memory exists");
-                        frame.stack.push(load_value(memory, *op, addr, *offset)?);
-                    }
-                    Op::Store { op, offset } => {
-                        let value = pop!();
-                        let addr = pop_i32!() as u32;
-                        let memory = self.memory.as_mut().expect("validated: memory exists");
-                        store_value(memory, *op, addr, *offset, value)?;
-                    }
-                    Op::MemorySize => {
-                        let memory = self.memory.as_ref().expect("validated: memory exists");
-                        frame.stack.push(Val::I32(memory.size_pages() as i32));
-                    }
-                    Op::MemoryGrow => {
-                        let delta = pop_i32!() as u32;
-                        if budget_active {
-                            if let Some(cap) = self.budget.as_ref().and_then(Budget::memory_cap) {
-                                let current = self
-                                    .memory
-                                    .as_ref()
-                                    .expect("validated: memory exists")
-                                    .size_pages();
-                                if current.saturating_add(delta) > cap {
-                                    return Err(Trap::MemoryLimit);
-                                }
-                            }
-                        }
-                        let memory = self.memory.as_mut().expect("validated: memory exists");
-                        frame.stack.push(Val::I32(memory.grow(delta)));
-                    }
-
-                    Op::Const(val) => frame.stack.push(*val),
-                    Op::Unary(op) => {
-                        let v = pop!();
-                        frame.stack.push(numeric::unary(*op, v)?);
-                    }
-                    Op::Binary(op) => {
-                        let b = pop!();
-                        let a = pop!();
-                        frame.stack.push(numeric::binary(*op, a, b)?);
-                    }
-
-                    Op::ConstBinary { value, op } => {
-                        let a = pop!();
-                        frame.stack.push(numeric::binary(*op, a, *value)?);
-                    }
-                    Op::LocalBinary { local, op } => {
-                        let a = pop!();
-                        frame
-                            .stack
-                            .push(numeric::binary(*op, a, frame.locals[*local as usize])?);
-                    }
-                    Op::LocalLocalBinary { a, b, op } => {
-                        frame.stack.push(numeric::binary(
-                            *op,
-                            frame.locals[*a as usize],
-                            frame.locals[*b as usize],
-                        )?);
-                    }
-                    Op::LocalConstBinary { a, value, op } => {
-                        frame
-                            .stack
-                            .push(numeric::binary(*op, frame.locals[*a as usize], *value)?);
-                    }
-                    Op::LocalConstBinarySet { a, value, op, dst } => {
-                        frame.locals[*dst as usize] =
-                            numeric::binary(*op, frame.locals[*a as usize], *value)?;
-                    }
-                    Op::CmpBrIf { op, dest } => {
-                        let b = pop!();
-                        let a = pop!();
-                        let taken = numeric::binary(*op, a, b)?
-                            .as_i32()
-                            .expect("comparison yields i32");
-                        if taken != 0 {
-                            branch_to!(dest);
-                        }
-                    }
-                    Op::LocalConstCmpBrIf { a, value, op, dest } => {
-                        let taken = numeric::binary(*op, frame.locals[*a as usize], *value)?
-                            .as_i32()
-                            .expect("comparison yields i32");
-                        if taken != 0 {
-                            branch_to!(dest);
-                        }
-                    }
-                    Op::LocalLocalCmpBrIf { a, b, op, dest } => {
-                        let taken = numeric::binary(
-                            *op,
-                            frame.locals[*a as usize],
-                            frame.locals[*b as usize],
-                        )?
-                        .as_i32()
-                        .expect("comparison yields i32");
-                        if taken != 0 {
-                            branch_to!(dest);
-                        }
-                    }
-                    Op::AffineAddr { a, c1, b, c2 } => {
-                        frame
-                            .stack
-                            .push(Val::I32(affine(&frame.locals, *a, *c1, *b, *c2)));
-                    }
-                    Op::AffineLoad {
-                        a,
-                        c1,
-                        b,
-                        c2,
-                        load,
-                        offset,
-                    } => {
-                        let addr = affine(&frame.locals, *a, *c1, *b, *c2) as u32;
-                        let memory = self.memory.as_ref().expect("validated: memory exists");
-                        frame.stack.push(load_value(memory, *load, addr, *offset)?);
+                }
+            }};
+        }
+        // Take a resolved branch: either leave the function with the
+        // carried values, or unwind the value stack and jump.
+        macro_rules! branch_to {
+            ($dest:expr) => {{
+                let dest = $dest;
+                if dest.target == RETURN_TARGET {
+                    ret!(dest.keep as usize);
+                }
+                unwind(&mut values, dest.keep as usize, base + dest.height as usize);
+                pc = dest.target as usize;
+                continue;
+            }};
+        }
+        // A call would put its callee at depth `frames.len()`.
+        macro_rules! check_depth {
+            () => {
+                if frames.len() >= self.max_call_depth {
+                    return Err(Trap::CallStackExhausted);
+                }
+            };
+        }
+        // Call function `$callee` with the top `$params` operands as its
+        // arguments. A wasm callee's frame takes them in place as its
+        // first locals; the caller continues after the call on return.
+        macro_rules! call {
+            ($callee:expr, $params:expr) => {{
+                check_depth!();
+                let callee: usize = $callee;
+                let at = values.len() - $params as usize;
+                match self.func_targets[callee] {
+                    FuncTarget::Host(id) => self.host_call_slow(id, &mut values, at, host)?,
+                    FuncTarget::Wasm => {
+                        frames.last_mut().expect("caller frame").pc = pc + 1;
+                        values.extend_from_slice(&code.funcs[callee].zeros);
+                        let frame = Frame {
+                            func: callee as u32,
+                            pc: 0,
+                            locals: at,
+                            stack: values.len(),
+                        };
+                        frames.push(frame);
+                        enter!(frame);
+                        continue;
                     }
                 }
-                frame.pc += 1;
+            }};
+        }
+        // The host-call intrinsics (see `flat`): the callee's host
+        // identity was resolved at instantiation, the arguments are passed
+        // straight off the value stack (plus a folded constant or
+        // local/const template tail) — no interpreter frame, no
+        // function-target match.
+        //
+        // No-op mask (direct-emit instrumentation): a hook the host
+        // declared dead retires here — weight, fuel, and the depth check
+        // were already paid, so traps and `executed_instrs` are unchanged;
+        // only argument marshalling and the host boundary are skipped.
+        // Hooks return no results (`retc == 0`), so popping the arguments
+        // restores the stack exactly.
+        macro_rules! host_call {
+            ($func:expr, $argc:expr, $retc:expr, |$at:ident| $dispatch:expr) => {{
+                check_depth!();
+                let $at = values.len() - $argc as usize;
+                if self.host_noop[$func as usize] {
+                    debug_assert_eq!($retc, 0, "no-op mask requires resultless hooks");
+                    self.host_calls_fast += 1;
+                    values.truncate($at);
+                } else {
+                    $dispatch?;
+                }
+            }};
+        }
+
+        loop {
+            if BOUNDED && remaining == 0 {
+                frames.last_mut().expect("live frame").pc = pc;
+                activation.frames = frames;
+                activation.values = values;
+                return Ok(StepOutcome::Pending);
             }
+            let op = &ops[pc];
+            let w = op.weight();
+            *steps += w;
+            if BOUNDED {
+                remaining = remaining.saturating_sub(w);
+            }
+            if fuel_active {
+                let fuel = self.fuel.as_mut().expect("fuel checked active");
+                if *fuel < w {
+                    // The structured-walk semantics counts every instruction
+                    // it could still afford plus the one that trapped.
+                    *steps = *steps - w + *fuel + 1;
+                    *fuel = 0;
+                    return Err(Trap::OutOfFuel);
+                }
+                *fuel -= w;
+            }
+            if budget_active {
+                self.poll_countdown = self.poll_countdown.saturating_sub(w);
+                if self.poll_countdown == 0 {
+                    self.check_budget()?;
+                }
+            }
+
+            match op {
+                Op::Skip => {}
+                Op::Unreachable => return Err(Trap::Unreachable),
+                Op::Goto(target) => {
+                    pc = *target as usize;
+                    continue;
+                }
+                Op::IfNot(target) => {
+                    if pop_i32!() == 0 {
+                        pc = *target as usize;
+                        continue;
+                    }
+                }
+                Op::Br(dest) => branch_to!(dest),
+                Op::BrIf(dest) => {
+                    if pop_i32!() != 0 {
+                        branch_to!(dest);
+                    }
+                }
+                Op::BrTable(table) => {
+                    let idx = pop_i32!() as u32 as usize;
+                    let dest = table.dests.get(idx).unwrap_or(&table.default);
+                    branch_to!(dest);
+                }
+                Op::Return => ret!(arity),
+
+                Op::Call { callee, params } => call!(*callee as usize, *params),
+                Op::HostCall { func, argc, retc } => {
+                    host_call!(*func, *argc, *retc, |at| self.host_call_fast(
+                        *func,
+                        &mut values,
+                        at,
+                        &[],
+                        *retc,
+                        host
+                    ));
+                }
+                Op::HostCallConst {
+                    func,
+                    stack_argc,
+                    retc,
+                    const_at,
+                    const_len,
+                } => {
+                    let consts =
+                        &code.consts[*const_at as usize..(*const_at + *const_len) as usize];
+                    host_call!(*func, *stack_argc, *retc, |at| self.host_call_fast(
+                        *func,
+                        &mut values,
+                        at,
+                        consts,
+                        *retc,
+                        host
+                    ));
+                }
+                Op::HostCallArgs {
+                    func,
+                    stack_argc,
+                    retc,
+                    args_at,
+                    args_len,
+                } => {
+                    let tpl = &code.args[*args_at as usize..(*args_at + *args_len) as usize];
+                    host_call!(*func, *stack_argc, *retc, |at| self.host_call_args(
+                        *func,
+                        &mut values,
+                        at,
+                        tpl,
+                        locals,
+                        *retc,
+                        host
+                    ));
+                }
+                Op::CallIndirect { sig, params } => {
+                    // Table lookup and signature check trap before the
+                    // depth check.
+                    let table_idx = pop_i32!() as u32;
+                    let target = self
+                        .table
+                        .as_ref()
+                        .expect("validated: table exists")
+                        .lookup(table_idx)?;
+                    let expected_ty = &code.sigs[*sig as usize];
+                    if &self.module.functions[target.to_usize()].type_ != expected_ty {
+                        return Err(Trap::IndirectCallTypeMismatch);
+                    }
+                    call!(target.to_usize(), *params);
+                }
+
+                Op::Drop => {
+                    pop!();
+                }
+                Op::Select => {
+                    let cond = pop_i32!();
+                    let second = pop!();
+                    let first = pop!();
+                    values.push(if cond != 0 { first } else { second });
+                }
+
+                Op::LocalGet(idx) => values.push(local!(*idx)),
+                Op::LocalSet(idx) => local!(*idx) = pop!(),
+                Op::LocalTee(idx) => local!(*idx) = *values.last().expect("validated: operand"),
+                Op::GlobalGet(idx) => values.push(self.globals[*idx as usize]),
+                Op::GlobalSet(idx) => self.globals[*idx as usize] = pop!(),
+
+                Op::Load { op, offset } => {
+                    let addr = pop_i32!() as u32;
+                    let memory = self.memory.as_ref().expect("validated: memory exists");
+                    values.push(load_value(memory, *op, addr, *offset)?);
+                }
+                Op::Store { op, offset } => {
+                    let value = pop!();
+                    let addr = pop_i32!() as u32;
+                    let memory = self.memory.as_mut().expect("validated: memory exists");
+                    store_value(memory, *op, addr, *offset, value)?;
+                }
+                Op::MemorySize => {
+                    let memory = self.memory.as_ref().expect("validated: memory exists");
+                    values.push(Val::I32(memory.size_pages() as i32));
+                }
+                Op::MemoryGrow => {
+                    let delta = pop_i32!() as u32;
+                    if budget_active {
+                        if let Some(cap) = self.budget.as_ref().and_then(Budget::memory_cap) {
+                            let current = self
+                                .memory
+                                .as_ref()
+                                .expect("validated: memory exists")
+                                .size_pages();
+                            if current.saturating_add(delta) > cap {
+                                return Err(Trap::MemoryLimit);
+                            }
+                        }
+                    }
+                    let memory = self.memory.as_mut().expect("validated: memory exists");
+                    values.push(Val::I32(memory.grow(delta)));
+                }
+
+                Op::Const(val) => values.push(*val),
+                Op::Unary(op) => {
+                    let v = pop!();
+                    values.push(numeric::unary(*op, v)?);
+                }
+                Op::Binary(op) => {
+                    let b = pop!();
+                    let a = pop!();
+                    values.push(numeric::binary(*op, a, b)?);
+                }
+
+                Op::ConstBinary { value, op } => {
+                    let a = pop!();
+                    values.push(numeric::binary(*op, a, *value)?);
+                }
+                Op::LocalBinary { local, op } => {
+                    let a = pop!();
+                    values.push(numeric::binary(*op, a, local!(*local))?);
+                }
+                Op::LocalLocalBinary { a, b, op } => {
+                    values.push(numeric::binary(*op, local!(*a), local!(*b))?);
+                }
+                Op::LocalConstBinary { a, value, op } => {
+                    values.push(numeric::binary(*op, local!(*a), *value)?);
+                }
+                Op::LocalConstBinarySet { a, value, op, dst } => {
+                    local!(*dst) = numeric::binary(*op, local!(*a), *value)?;
+                }
+                Op::CmpBrIf { op, dest } => {
+                    let b = pop!();
+                    let a = pop!();
+                    if is_true(numeric::binary(*op, a, b)?) {
+                        branch_to!(dest);
+                    }
+                }
+                Op::LocalConstCmpBrIf { a, value, op, dest } => {
+                    if is_true(numeric::binary(*op, local!(*a), *value)?) {
+                        branch_to!(dest);
+                    }
+                }
+                Op::LocalLocalCmpBrIf { a, b, op, dest } => {
+                    if is_true(numeric::binary(*op, local!(*a), local!(*b))?) {
+                        branch_to!(dest);
+                    }
+                }
+                Op::AffineAddr { a, c1, b, c2 } => {
+                    values.push(Val::I32(affine(local!(*a), *c1, local!(*b), *c2)));
+                }
+                Op::AffineLoad {
+                    a,
+                    c1,
+                    b,
+                    c2,
+                    load,
+                    offset,
+                } => {
+                    let addr = affine(local!(*a), *c1, local!(*b), *c2) as u32;
+                    let memory = self.memory.as_ref().expect("validated: memory exists");
+                    values.push(load_value(memory, *load, addr, *offset)?);
+                }
+            }
+            pc += 1;
         }
     }
 }
 
-/// The fused affine address chain `(locals[a]*c1 + locals[b])*c2` with
-/// WebAssembly's wrapping `i32` semantics.
+/// The truth value of a fused comparison's `i32` result.
 #[inline]
-fn affine(locals: &[Val], a: u32, c1: i32, b: u32, c2: i32) -> i32 {
-    let av = locals[a as usize].as_i32().expect("validated: i32 local");
-    let bv = locals[b as usize].as_i32().expect("validated: i32 local");
+fn is_true(cmp: Val) -> bool {
+    cmp.as_i32().expect("comparison yields i32") != 0
+}
+
+/// The fused affine address chain `(a*c1 + b)*c2` over two `i32` locals,
+/// with WebAssembly's wrapping `i32` semantics.
+#[inline]
+fn affine(a: Val, c1: i32, b: Val, c2: i32) -> i32 {
+    let av = a.as_i32().expect("validated: i32 local");
+    let bv = b.as_i32().expect("validated: i32 local");
     av.wrapping_mul(c1).wrapping_add(bv).wrapping_mul(c2)
 }
 
-/// Return the top `n` values of `stack`, reusing its allocation.
-#[inline]
-fn take_top(mut stack: Vec<Val>, n: usize) -> Vec<Val> {
-    let start = stack.len() - n;
-    stack.drain(..start);
-    stack
-}
-
-/// Unwind for a branch: carry the top `keep` values down to `height`.
+/// Unwind for a branch or return: carry the top `keep` values down to
+/// absolute value-stack height `height`.
 #[inline]
 fn unwind(stack: &mut Vec<Val>, keep: usize, height: usize) {
     if keep == 0 {
@@ -2469,6 +2070,54 @@ mod tests {
         instance.set_max_call_depth(64);
         let err = instance.invoke_export("rec", &[], &mut host).unwrap_err();
         assert_eq!(err, Trap::CallStackExhausted);
+    }
+
+    #[test]
+    fn deep_recursion_runs_without_native_stack() {
+        // `count(n) = n == 0 ? 0 : count(n - 1) + 1`, the first function
+        // of the module, so it calls itself at index 0.
+        let mut builder = ModuleBuilder::new();
+        builder.function("count", &[ValType::I32], &[ValType::I32], |f| {
+            f.get_local(0u32).i32_const(0).binary(BinaryOp::I32Eq);
+            f.if_(Some(ValType::I32)).i32_const(0).else_();
+            f.get_local(0u32)
+                .i32_const(1)
+                .i32_sub()
+                .call(Idx::from(0u32));
+            f.i32_const(1).i32_add().end();
+        });
+        let translated = TranslatedModule::new(builder.finish()).unwrap();
+        let depth = 50_000;
+        // Far too small a native stack for 50 000 recursive interpreter
+        // frames: this passes only because wasm frames are heap data.
+        let run = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                let mut host = EmptyHost;
+                let args = [Val::I32(depth)];
+                let mut invoked = Instance::instantiate_translated(&translated, &mut host).unwrap();
+                invoked.set_max_call_depth(60_000);
+                let direct = invoked.invoke_export("count", &args, &mut host).unwrap();
+
+                let mut stepped = Instance::instantiate_translated(&translated, &mut host).unwrap();
+                stepped.set_max_call_depth(60_000);
+                let mut activation = stepped.begin_resumable_export("count", &args).unwrap();
+                let mut max_depth = 0;
+                let resumed = loop {
+                    max_depth = max_depth.max(activation.depth());
+                    match stepped.resume(&mut activation, &mut host, 97).unwrap() {
+                        StepOutcome::Pending => {}
+                        StepOutcome::Done(results) => break results,
+                    }
+                };
+                assert_eq!(direct, vec![Val::I32(depth)]);
+                assert_eq!(resumed, direct);
+                assert_eq!(stepped.executed_instrs(), invoked.executed_instrs());
+                assert!(max_depth > 49_000, "suspended deep inside the recursion");
+            })
+            .unwrap();
+        run.join()
+            .expect("deep recursion completes on a 256 KiB stack");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Swarm differential property tests for cohort execution: a
 //! [`CohortRunner`] interleaving N instances of one translated module in
 //! chunked rounds must be **observationally identical** to N standalone
-//! sequential runs of the same inputs through the recursive
-//! `invoke_export` path:
+//! sequential runs of the same inputs through `invoke_export` (the same
+//! dispatch loop, run to completion in one unbounded round):
 //!
 //! - same results (or the same trap, including mid-loop div traps,
 //!   out-of-bounds accesses, and `unreachable`),
@@ -196,8 +196,8 @@ fn snapshot(result: Result<Vec<Val>, Trap>, instance: &Instance) -> Snapshot {
     )
 }
 
-/// The sequential oracle: a standalone instance driven by the recursive
-/// `invoke_export` path.
+/// The sequential oracle: a standalone instance driven to completion by
+/// `invoke_export`.
 fn run_sequential(
     translated: &TranslatedModule,
     input: i32,

@@ -10,19 +10,14 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::{FuncType, ValType};
 
 /// A typed index into one of the module's index spaces.
 ///
 /// The phantom parameter prevents, e.g., accidentally using a global index
 /// where a function index is expected (C-NEWTYPE).
-#[derive(Serialize, Deserialize)]
-#[serde(transparent)]
 pub struct Idx<T> {
     index: u32,
-    #[serde(skip)]
     _marker: PhantomData<fn() -> T>,
 }
 
@@ -114,7 +109,7 @@ pub enum TableSpace {}
 pub enum MemorySpace {}
 
 /// A relative branch label: `0` targets the innermost enclosing block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Label(pub u32);
 
 impl Label {
@@ -133,7 +128,7 @@ impl fmt::Display for Label {
 }
 
 /// Result type of a `block`/`loop`/`if` (empty or a single value in 1.0).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct BlockType(pub Option<ValType>);
 
 impl fmt::Display for BlockType {
@@ -146,7 +141,7 @@ impl fmt::Display for BlockType {
 }
 
 /// Static immediate of a load/store: alignment exponent and address offset.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Memarg {
     /// Alignment as a power of two exponent (purely a hint in Wasm).
     pub alignment_exp: u32,
@@ -176,7 +171,7 @@ impl Memarg {
 ///
 /// `PartialEq`/`Hash` compare floats **bit-wise** so that `Val` is usable in
 /// round-trip tests and hook-map keys even for NaN payloads.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum Val {
     I32(i32),
     I64(i64),
@@ -301,7 +296,7 @@ macro_rules! op_enum {
         }
     ) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub enum $name {
             $( $variant, )*
         }
@@ -637,7 +632,7 @@ impl StoreOp {
 }
 
 /// Operations on locals: `get_local`, `set_local`, `tee_local`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LocalOp {
     Get,
     Set,
@@ -661,7 +656,7 @@ impl fmt::Display for LocalOp {
 }
 
 /// Operations on globals: `get_global`, `set_global`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GlobalOp {
     Get,
     Set,
@@ -683,7 +678,7 @@ impl fmt::Display for GlobalOp {
 }
 
 /// A single WebAssembly instruction (paper Fig. 3, `instr`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     Unreachable,
     Nop,

@@ -7,13 +7,11 @@
 //! makes instrumentation sound: Wasabi appends hook *imports* to an existing
 //! module without invalidating any `call` immediate in the AST.
 
-use serde::{Deserialize, Serialize};
-
 use crate::instr::{FunctionSpace, GlobalSpace, Idx, Instr, LocalSpace, Val};
 use crate::types::{FuncType, GlobalType, Limits, MemoryType, TableType, ValType};
 
 /// Provenance of a function/global/table/memory: imported or defined locally.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Import {
     pub module: String,
     pub name: String,
@@ -30,7 +28,7 @@ impl Import {
 }
 
 /// Body of a locally-defined function.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Code {
     /// Types of the explicit locals (the local index space is the function's
     /// parameters followed by these).
@@ -44,7 +42,7 @@ pub struct Code {
 /// Equality ignores the debug [`Function::name`], which is tooling metadata
 /// that is not part of the binary format (so `decode(encode(m)) == m` holds
 /// for modules with builder-assigned names).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Function {
     pub type_: FuncType,
     pub kind: FunctionKind,
@@ -61,7 +59,7 @@ impl PartialEq for Function {
 }
 
 /// Import-or-code alternative for functions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FunctionKind {
     Import(Import),
     Local(Code),
@@ -149,7 +147,7 @@ impl Function {
 }
 
 /// A global variable (paper Fig. 3, `global`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Global {
     pub type_: GlobalType,
     pub kind: GlobalKind,
@@ -157,7 +155,7 @@ pub struct Global {
 }
 
 /// Import-or-initializer alternative for globals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GlobalKind {
     Import(Import),
     /// Initialization constant expression (a single `const` or `get_global`
@@ -195,7 +193,7 @@ impl Global {
 
 /// An element segment: function indices copied into the table at
 /// instantiation (used by `call_indirect`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Element {
     /// Constant expression for the start offset.
     pub offset: Vec<Instr>,
@@ -203,7 +201,7 @@ pub struct Element {
 }
 
 /// The table (at most one in Wasm 1.0), with its element segments attached.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     pub type_: TableType,
     pub import: Option<Import>,
@@ -224,7 +222,7 @@ impl Table {
 }
 
 /// A data segment: bytes copied into linear memory at instantiation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Data {
     /// Constant expression for the start offset.
     pub offset: Vec<Instr>,
@@ -232,7 +230,7 @@ pub struct Data {
 }
 
 /// The linear memory (at most one in Wasm 1.0), with data segments attached.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Memory {
     pub type_: MemoryType,
     pub import: Option<Import>,
@@ -253,14 +251,14 @@ impl Memory {
 }
 
 /// An uninterpreted custom section (preserved byte-exactly on round-trips).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CustomSection {
     pub name: String,
     pub bytes: Vec<u8>,
 }
 
 /// A WebAssembly module (paper Fig. 3, `module`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Module {
     pub functions: Vec<Function>,
     pub globals: Vec<Global>,

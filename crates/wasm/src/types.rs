@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The four primitive WebAssembly value types (paper Fig. 3, `typeval`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ValType {
     /// 32-bit integer (sign-agnostic).
     I32,
@@ -77,7 +75,7 @@ impl fmt::Display for ValType {
 ///
 /// WebAssembly 1.0 binaries allow at most one result, but the AST (like the
 /// formal semantics of Haas et al.) supports arbitrarily many.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct FuncType {
     pub params: Vec<ValType>,
     pub results: Vec<ValType>,
@@ -114,7 +112,7 @@ impl fmt::Display for FuncType {
 }
 
 /// Minimum and optional maximum size of a table or memory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Limits {
     pub initial: u32,
     pub max: Option<u32>,
@@ -136,16 +134,16 @@ impl Limits {
 }
 
 /// Memory type: limits in units of 64 KiB pages.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct MemoryType(pub Limits);
 
 /// Table type: limits in number of `funcref` elements (the only element type
 /// in WebAssembly 1.0).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct TableType(pub Limits);
 
 /// Global type: a value type plus mutability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GlobalType {
     pub val_type: ValType,
     pub mutable: bool,
