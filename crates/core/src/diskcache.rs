@@ -46,6 +46,8 @@
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use wasabi_wasm::instr::{BinaryOp, GlobalOp, LoadOp, LocalOp, StoreOp, UnaryOp};
 use wasabi_wasm::module::Module;
@@ -59,7 +61,6 @@ use crate::hooks::{BlockKind, HookSet};
 use crate::info::{BrTableEntry, BrTableInfo, EndInfo, ModuleInfo};
 use crate::location::{BranchTarget, Location};
 use crate::runtime::AnalysisSession;
-use crate::stats;
 
 /// Bump on ANY change to this layout or to the VM code codec.
 const FORMAT_VERSION: u32 = 1;
@@ -83,6 +84,8 @@ fn fnv64(bytes: &[u8]) -> u64 {
 pub struct DiskCache {
     dir: PathBuf,
     faults: Faults,
+    /// Failed stores, shared by clones of this handle.
+    write_errors: Arc<AtomicU64>,
 }
 
 impl DiskCache {
@@ -98,6 +101,7 @@ impl DiskCache {
         Ok(DiskCache {
             dir,
             faults: Faults::default(),
+            write_errors: Arc::default(),
         })
     }
 
@@ -112,6 +116,12 @@ impl DiskCache {
     /// The cache directory.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// [`DiskCache::store`] attempts that failed (create, write, sync, or
+    /// rename) on this handle and its clones.
+    pub fn write_errors(&self) -> u64 {
+        self.write_errors.load(Ordering::Relaxed)
     }
 
     /// Entry path for `(key, hooks)`. The key lands in the filename with
@@ -182,7 +192,7 @@ impl DiskCache {
     /// Best-effort: IO failures leave the cache without the entry (a
     /// later load rebuilds), they never fail the build that produced the
     /// session — but they are **counted**
-    /// ([`crate::stats::disk_cache_write_errors`]), not swallowed, so a
+    /// ([`DiskCache::write_errors`]), not swallowed, so a
     /// misconfigured or full cache volume is observable.
     pub fn store(&self, key: &str, hooks: HookSet, session: &AnalysisSession) {
         let mut out = Vec::new();
@@ -214,7 +224,7 @@ impl DiskCache {
         };
         let stored = written.and_then(|()| fs::rename(&tmp, &path));
         if stored.is_err() {
-            stats::record_disk_cache_write_error();
+            self.write_errors.fetch_add(1, Ordering::Relaxed);
         }
         let _ = fs::remove_file(&tmp);
     }
@@ -712,10 +722,10 @@ mod tests {
         // directory out from under the handle — `File::create` of the
         // tmp file has nowhere to go.
         std::fs::remove_dir_all(&dir).expect("removes dir");
-        let before = stats::disk_cache_write_errors();
         cache.store("k", hooks, &session);
-        assert!(
-            stats::disk_cache_write_errors() > before,
+        assert_eq!(
+            cache.write_errors(),
+            1,
             "failed create/write bumps the counter"
         );
 
@@ -723,12 +733,8 @@ mod tests {
         // directory squats on the entry path.
         let cache = DiskCache::new(&dir).expect("recreates dir");
         std::fs::create_dir_all(cache.entry_path("k", hooks)).expect("squats entry path");
-        let before = stats::disk_cache_write_errors();
         cache.store("k", hooks, &session);
-        assert!(
-            stats::disk_cache_write_errors() > before,
-            "failed rename bumps the counter"
-        );
+        assert_eq!(cache.write_errors(), 1, "failed rename bumps the counter");
         // And the failed store left no tmp debris behind.
         let tmp_left = std::fs::read_dir(&dir)
             .expect("reads dir")
@@ -783,9 +789,8 @@ mod tests {
         let faulty_store = cache
             .clone()
             .with_faults(Faults::parse("disk/store=error", 1).unwrap());
-        let before = stats::disk_cache_write_errors();
         faulty_store.store("k", hooks, &session);
-        assert!(stats::disk_cache_write_errors() > before);
+        assert_eq!(faulty_store.write_errors(), 1);
         assert!(cache.load("k", hooks, &module).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }

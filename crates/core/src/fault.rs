@@ -54,8 +54,6 @@ use std::time::Duration;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::stats;
-
 #[derive(Debug, Clone, PartialEq)]
 enum Action {
     /// Return an injected error message from [`Faults::fire`].
@@ -215,6 +213,15 @@ impl Faults {
         })
     }
 
+    /// How many faults this handle (and its clones) has injected, over
+    /// all sites.
+    pub fn total_hits(&self) -> u64 {
+        self.sites.as_ref().map_or(0, |sites| {
+            let sites = sites.lock().expect("fault registry poisoned");
+            sites.values().map(|s| s.hits).sum()
+        })
+    }
+
     /// Evaluate the failpoint `site`.
     ///
     /// Returns `Some(message)` when an `error` fault fires (the caller
@@ -261,7 +268,6 @@ fn fire_slow(sites: &Mutex<HashMap<String, Site>>, site: &str) -> Option<String>
     };
     // Lock released before acting: a delay must not serialize unrelated
     // sites, and a panic must not poison the registry.
-    stats::record_fault_injected();
     match action {
         Action::Error => Some(format!("injected fault at {site}")),
         Action::Delay(d) => {
@@ -287,13 +293,12 @@ mod tests {
     #[test]
     fn error_fault_fires_and_counts() {
         let faults = Faults::parse("disk/store=error", 7).unwrap();
-        let before = stats::faults_injected();
         let msg = faults.fire("disk/store").expect("fires");
         assert!(msg.contains("disk/store"), "{msg}");
         assert_eq!(faults.hits("disk/store"), 1);
-        assert!(stats::faults_injected() > before);
         // Unconfigured sites stay quiet.
         assert_eq!(faults.fire("disk/load"), None);
+        assert_eq!(faults.total_hits(), 1);
     }
 
     #[test]

@@ -22,9 +22,7 @@
 //! Results come back in **submission order** regardless of which worker
 //! ran what, with per-job [`JobStats`]: cache hit/miss, queue latency, and
 //! fused build / execute phase times measured *per job* on the worker's
-//! own clock (the process-global [`crate::stats`] phase timers aggregate
-//! across threads and cannot attribute time to a job — see the caveat
-//! there). A consumer that wants results **as they finish** — the
+//! own clock. A consumer that wants results **as they finish** — the
 //! `wasabi-server` daemon streaming per-job frames back to a client —
 //! uses [`Fleet::run_streaming`] instead, which delivers each
 //! [`JobOutcome`] to a completion callback in completion order;
@@ -82,7 +80,6 @@ use crate::hooks::{Analysis, HookSet};
 use crate::pipeline::Wasabi;
 use crate::report::Report;
 use crate::runtime::AnalysisError;
-use crate::stats;
 
 /// Constructs a fresh analysis instance from its registry name, **inside
 /// the worker thread** that will run it. `wasabi_analyses::registry::by_name`
@@ -662,7 +659,6 @@ impl Fleet {
         .expect("fleet worker panicked");
 
         let wall = started.elapsed();
-        stats::record_fleet_jobs(total as u64);
 
         BatchSummary {
             jobs: total,
@@ -845,11 +841,6 @@ fn run_with_retries(
 
         let transient = matches!(&outcome.result, Err(e) if e.is_transient());
         if !transient || attempt >= retries {
-            match &outcome.result {
-                Err(JobError::TimedOut) => stats::record_job_timeout(),
-                Err(JobError::Cancelled) => stats::record_job_cancellation(),
-                _ => {}
-            }
             return JobOutcome {
                 stats: JobStats {
                     retries: attempt,
@@ -861,7 +852,6 @@ fn run_with_retries(
 
         // Transient failure with budget left: back off (1, 2, 4, ... ms,
         // ±50% jitter, capped) and go again.
-        stats::record_job_retry();
         attempt += 1;
         let base_ms = (1u64 << attempt.min(6)).min(50);
         let jitter = rng.gen_range(0..base_ms + 1);

@@ -24,6 +24,7 @@
 //!   matter how workers interleave (see `canonicalize` in this module).
 
 use std::collections::HashMap;
+use std::time::Duration;
 
 use wasabi_wasm::error::ValidationError;
 use wasabi_wasm::instr::{BlockType, Idx, Instr, Label, LocalOp, LocalSpace, UnaryOp, Val};
@@ -83,16 +84,16 @@ impl Instrumenter {
     ///
     /// Fails if the input module does not validate.
     pub fn run(&self, module: &Module) -> Result<(Module, ModuleInfo), ValidationError> {
-        crate::stats::record_instrumentation();
-        let timer = std::time::Instant::now();
-        let result = self.run_timed(module);
-        crate::stats::record_instrumentation_time(timer.elapsed());
-        result
+        self.rewrite(module).map(|(module, info, _)| (module, info))
     }
 
-    fn run_timed(&self, module: &Module) -> Result<(Module, ModuleInfo), ValidationError> {
+    /// [`Instrumenter::run`], plus the summed busy time of the build
+    /// workers.
+    pub(crate) fn rewrite(
+        &self,
+        module: &Module,
+    ) -> Result<(Module, ModuleInfo, Duration), ValidationError> {
         let (results, info, worker_busy) = self.instrument_functions(module)?;
-        crate::stats::record_build_worker_time(worker_busy);
         let function_count = module.functions.len();
 
         let mut instrumented = module.clone();
@@ -112,7 +113,7 @@ impl Instrumenter {
         }
 
         debug_assert!(validate(&instrumented).is_ok());
-        Ok((instrumented, info))
+        Ok((instrumented, info, worker_busy))
     }
 
     /// Direct-emit instrumentation (ROADMAP item 2): instrument and
@@ -127,11 +128,6 @@ impl Instrumenter {
     /// index space, described by [`wasabi_vm::HookImport`] descriptors and
     /// resolved against the host at instantiation like real imports.
     ///
-    /// Timing is recorded as one fused build phase
-    /// ([`crate::stats::fused_build_time`]), not as separate
-    /// instrumentation/translation phases — there is no meaningful
-    /// boundary between the two inside this pass.
-    ///
     /// # Errors
     ///
     /// Fails if the input module does not validate.
@@ -139,17 +135,16 @@ impl Instrumenter {
         &self,
         module: &Module,
     ) -> Result<(TranslatedModule, ModuleInfo), ValidationError> {
-        crate::stats::record_instrumentation();
-        let timer = std::time::Instant::now();
-        let result = self.run_direct_inner(module);
-        crate::stats::record_fused_build_time(timer.elapsed());
-        result
+        self.direct(module)
+            .map(|(translated, info, _)| (translated, info))
     }
 
-    fn run_direct_inner(
+    /// [`Instrumenter::run_direct`], plus the summed busy time of the
+    /// instrumentation and translation workers.
+    pub(crate) fn direct(
         &self,
         module: &Module,
-    ) -> Result<(TranslatedModule, ModuleInfo), ValidationError> {
+    ) -> Result<(TranslatedModule, ModuleInfo, Duration), ValidationError> {
         let (results, info, instrument_busy) = self.instrument_functions(module)?;
 
         let funcs: Vec<Option<InstrumentedFunc>> = results
@@ -165,18 +160,16 @@ impl Instrumenter {
             self.threads,
         )
         .expect("direct-emit input module already validated");
-        crate::stats::record_build_worker_time(instrument_busy + translate_busy);
-        Ok((translated, info))
+        Ok((translated, info, instrument_busy + translate_busy))
     }
 
     /// The shared per-function instrumentation pass: returns the
     /// instrumented `(body, extra_locals)` per local function (imports stay
     /// `None`), the fully populated [`ModuleInfo`] (`enabled`, `hooks` in
     /// canonical ordinal order, `br_tables`), and the summed busy time of
-    /// the worker threads (each worker accumulates locally; folded into
-    /// the phase timers once per build). Both the rewrite and the
-    /// direct-emit paths build on this; they differ only in what they do
-    /// with the bodies afterwards.
+    /// the worker threads (each worker accumulates locally; summed once
+    /// at the join). Both the rewrite and the direct-emit paths build on
+    /// this; they differ only in what they do with the bodies afterwards.
     fn instrument_functions(
         &self,
         module: &Module,
@@ -236,11 +229,7 @@ impl Instrumenter {
             .into_iter()
             .map(|b| b.map(|b| (b.body, b.extra_locals)))
             .collect();
-        Ok((
-            results,
-            info,
-            std::time::Duration::from_nanos(busy.into_inner()),
-        ))
+        Ok((results, info, Duration::from_nanos(busy.into_inner())))
     }
 }
 
@@ -250,7 +239,7 @@ impl Instrumenter {
 type InstrumentedFunctions = (
     Vec<Option<(Vec<Instr>, Vec<ValType>)>>,
     ModuleInfo,
-    std::time::Duration,
+    Duration,
 );
 
 /// One function's output of the parallel instrumentation pass, before the

@@ -76,7 +76,6 @@ pub mod location;
 pub mod pipeline;
 pub mod report;
 pub mod runtime;
-pub mod stats;
 
 pub use cache::{content_key, ModuleCache};
 pub use diskcache::DiskCache;

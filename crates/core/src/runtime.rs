@@ -29,6 +29,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::time::{Duration, Instant};
 
 use wasabi_vm::host::{Host, HostCtx, HostFuncId};
 use wasabi_vm::trap::{InstantiationError, Trap};
@@ -45,9 +46,9 @@ use crate::event::{
 };
 use crate::hooks::{Analysis, Hook, HookSet, MemArg};
 use crate::info::ModuleInfo;
-use crate::instrument::{instrument, Instrumenter};
+use crate::instrument::Instrumenter;
 use crate::location::{BranchTarget, Location};
-use crate::stats;
+use crate::pipeline::InstrumentationMode;
 
 /// Where joined high-level events go: one analysis, or the fused per-hook
 /// subscriber lists of a pipeline.
@@ -602,6 +603,8 @@ pub struct AnalysisSession {
     /// this without cloning or re-translating the module.
     translated: TranslatedModule,
     info: ModuleInfo,
+    build_time: Duration,
+    build_worker_time: Duration,
 }
 
 // A session is immutable shared data (translation + static info): the
@@ -618,21 +621,11 @@ impl AnalysisSession {
     ///
     /// Fails if the module does not validate.
     pub fn new(module: &Module, hooks: HookSet) -> Result<Self, wasabi_wasm::ValidationError> {
-        let (module, info) = instrument(module, hooks)?;
-        Self::from_parts(module, info)
-    }
-
-    /// Bundle an already-instrumented module with its static info (used by
-    /// [`crate::pipeline::PipelineBuilder::build`], which drives the
-    /// instrumenter itself for thread control).
-    pub(crate) fn from_parts(
-        module: Module,
-        info: ModuleInfo,
-    ) -> Result<Self, wasabi_wasm::ValidationError> {
-        let start = std::time::Instant::now();
-        let translated = TranslatedModule::new(module)?;
-        stats::record_translation_time(start.elapsed());
-        Ok(AnalysisSession { translated, info })
+        Self::build(
+            &Instrumenter::new(hooks),
+            module,
+            InstrumentationMode::Rewrite,
+        )
     }
 
     /// Build a session via the *direct-emit* path
@@ -647,14 +640,46 @@ impl AnalysisSession {
     ///
     /// Fails if the module does not validate.
     pub fn direct(module: &Module, hooks: HookSet) -> Result<Self, wasabi_wasm::ValidationError> {
-        let (translated, info) = Instrumenter::new(hooks).run_direct(module)?;
-        Ok(Self::from_direct(translated, info))
+        Self::build(
+            &Instrumenter::new(hooks),
+            module,
+            InstrumentationMode::DirectEmit,
+        )
     }
 
-    /// Bundle a direct-emit translation with its static info (used by
+    /// Instrument and translate `module` with `instrumenter` along `mode`,
+    /// recording what the build cost (used by
     /// [`crate::pipeline::PipelineBuilder::build`] and the module cache).
+    pub(crate) fn build(
+        instrumenter: &Instrumenter,
+        module: &Module,
+        mode: InstrumentationMode,
+    ) -> Result<Self, wasabi_wasm::ValidationError> {
+        let start = Instant::now();
+        let (translated, info, build_worker_time) = match mode {
+            InstrumentationMode::DirectEmit => instrumenter.direct(module)?,
+            InstrumentationMode::Rewrite => {
+                let (instrumented, info, busy) = instrumenter.rewrite(module)?;
+                (TranslatedModule::new(instrumented)?, info, busy)
+            }
+        };
+        Ok(AnalysisSession {
+            translated,
+            info,
+            build_time: start.elapsed(),
+            build_worker_time,
+        })
+    }
+
+    /// Bundle a direct-emit translation with its static info, at zero
+    /// build cost (used by the disk tier, which loads instead of builds).
     pub(crate) fn from_direct(translated: TranslatedModule, info: ModuleInfo) -> Self {
-        AnalysisSession { translated, info }
+        AnalysisSession {
+            translated,
+            info,
+            build_time: Duration::ZERO,
+            build_worker_time: Duration::ZERO,
+        }
     }
 
     /// Instrument `module` selectively for the hooks `analysis` declares.
@@ -689,6 +714,21 @@ impl AnalysisSession {
         &self.info
     }
 
+    /// Wall time of building this session (instrument + translate) on
+    /// the coordinating thread; zero for a session loaded from the disk
+    /// tier.
+    pub fn build_time(&self) -> Duration {
+        self.build_time
+    }
+
+    /// Summed busy time of the build's worker threads (instrumentation
+    /// and translation workers of the parallel pipeline, paper §3);
+    /// `build_worker_time / build_time` approximates the build's
+    /// effective parallelism. Zero for a session loaded from disk.
+    pub fn build_worker_time(&self) -> Duration {
+        self.build_worker_time
+    }
+
     /// Instantiate the instrumented module and invoke `export` under
     /// `analysis`.
     ///
@@ -701,13 +741,9 @@ impl AnalysisSession {
         export: &str,
         args: &[Val],
     ) -> Result<Vec<Val>, AnalysisError> {
-        stats::record_execution();
         let mut host = WasabiHost::new(&self.info, analysis);
         let mut instance = Instance::instantiate_translated(&self.translated, &mut host)?;
-        let result = instance.invoke_export(export, args, &mut host);
-        let (fast, slow) = instance.host_call_counts();
-        stats::record_host_calls(fast, slow);
-        Ok(result?)
+        Ok(instance.invoke_export(export, args, &mut host)?)
     }
 
     /// Like [`AnalysisSession::run`], but with a program host for the
@@ -723,13 +759,9 @@ impl AnalysisSession {
         export: &str,
         args: &[Val],
     ) -> Result<Vec<Val>, AnalysisError> {
-        stats::record_execution();
         let mut host = WasabiHost::new(&self.info, analysis).with_program_host(program_host);
         let mut instance = Instance::instantiate_translated(&self.translated, &mut host)?;
-        let result = instance.invoke_export(export, args, &mut host);
-        let (fast, slow) = instance.host_call_counts();
-        stats::record_host_calls(fast, slow);
-        Ok(result?)
+        Ok(instance.invoke_export(export, args, &mut host)?)
     }
 }
 
@@ -914,23 +946,88 @@ mod tests {
             f.nop();
         });
         let session = AnalysisSession::new(&builder.finish(), HookSet::all()).unwrap();
-        let before_fast = stats::host_calls_fast();
         let mut analysis = NoAnalysis;
-        session.run(&mut analysis, "f", &[]).unwrap();
+        let mut host = WasabiHost::new(session.info(), &mut analysis);
+        let mut instance =
+            Instance::instantiate_translated(session.translated(), &mut host).unwrap();
+        instance.invoke_export("f", &[], &mut host).unwrap();
         // The nop/begin/end hook calls went through the intrinsic path.
-        assert!(stats::host_calls_fast() > before_fast);
+        let (fast, slow) = instance.host_call_counts();
+        assert!(fast > 0);
+        assert_eq!(slow, 0);
     }
 
     #[test]
     fn session_run_records_an_execution_pass() {
+        use crate::event::{AnalysisCtx, BlockEvt};
+        use crate::hooks::Hook;
+
+        #[derive(Default)]
+        struct Begins(u64);
+        impl Analysis for Begins {
+            fn hooks(&self) -> HookSet {
+                HookSet::of(&[Hook::Begin])
+            }
+            fn begin(&mut self, _: &AnalysisCtx, _: &BlockEvt) {
+                self.0 += 1;
+            }
+        }
+
         let mut builder = ModuleBuilder::new();
         builder.function("f", &[], &[], |f| {
             f.nop();
         });
-        let session = AnalysisSession::new(&builder.finish(), HookSet::empty()).unwrap();
-        let before = stats::execution_passes();
-        let mut analysis = NoAnalysis;
+        let session = AnalysisSession::new(&builder.finish(), HookSet::of(&[Hook::Begin])).unwrap();
+        let mut analysis = Begins::default();
         session.run(&mut analysis, "f", &[]).unwrap();
-        assert!(stats::execution_passes() > before);
+        // One function body entered once: a second execution would show 2.
+        assert_eq!(analysis.0, 1);
+    }
+
+    fn build_cost_module() -> Module {
+        let mut builder = ModuleBuilder::new();
+        builder.memory(1, None);
+        builder.function("main", &[], &[ValType::I32], |f| {
+            f.i32_const(21).i32_const(2).i32_mul();
+        });
+        builder.finish()
+    }
+
+    #[test]
+    fn each_build_path_records_its_own_wall_time() {
+        let module = build_cost_module();
+        let direct = AnalysisSession::direct(&module, HookSet::all()).unwrap();
+        assert!(direct.build_time() > Duration::ZERO);
+        let rewrite = AnalysisSession::new(&module, HookSet::all()).unwrap();
+        assert!(rewrite.build_time() > Duration::ZERO);
+    }
+
+    #[test]
+    fn parallel_build_records_worker_busy_time() {
+        let instrumenter = Instrumenter::new(HookSet::all()).threads(4);
+        let session = AnalysisSession::build(
+            &instrumenter,
+            &build_cost_module(),
+            InstrumentationMode::DirectEmit,
+        )
+        .unwrap();
+        assert!(session.build_time() > Duration::ZERO);
+        assert!(session.build_worker_time() > Duration::ZERO);
+    }
+
+    #[test]
+    fn disk_loaded_session_has_zero_build_cost() {
+        let dir = std::env::temp_dir().join(format!("wasabi-runtime-cost-{}", std::process::id()));
+        let disk = crate::DiskCache::new(&dir).unwrap();
+        let module = build_cost_module();
+        disk.store(
+            "k",
+            HookSet::all(),
+            &AnalysisSession::direct(&module, HookSet::all()).unwrap(),
+        );
+        let loaded = disk.load("k", HookSet::all(), &module).expect("loads");
+        assert_eq!(loaded.build_time(), Duration::ZERO);
+        assert_eq!(loaded.build_worker_time(), Duration::ZERO);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! The client remembers its endpoint, so a daemon restart is survivable:
 //! [`Client::reconnect_with_backoff`] re-dials with capped exponential
-//! backoff (each successful re-dial bumps
-//! [`wasabi::stats::client_reconnects`]). Daemon refusals surface as
+//! backoff (each successful re-dial bumps [`Client::reconnects`]).
+//! Daemon refusals surface as
 //! [`ClientError::Daemon`] with the machine-readable [`ErrorCode`], so
 //! callers can distinguish *retry later* (`queue_full`, `draining`) from
 //! *fatal* (everything else) without string matching.
@@ -131,6 +131,7 @@ impl Endpoint {
 pub struct Client {
     conn: Conn,
     endpoint: Endpoint,
+    reconnects: u64,
 }
 
 impl Client {
@@ -144,6 +145,7 @@ impl Client {
         Ok(Client {
             conn: endpoint.dial()?,
             endpoint,
+            reconnects: 0,
         })
     }
 
@@ -157,19 +159,25 @@ impl Client {
         Ok(Client {
             conn: endpoint.dial()?,
             endpoint,
+            reconnects: 0,
         })
     }
 
     /// Re-dial the remembered endpoint once, replacing the connection.
-    /// Records a [`wasabi::stats::client_reconnects`] tick on success.
+    /// Counts towards [`Client::reconnects`] on success.
     ///
     /// # Errors
     ///
     /// Transport errors from connecting (e.g. the daemon is not back yet).
     pub fn reconnect(&mut self) -> std::io::Result<()> {
         self.conn = self.endpoint.dial()?;
-        wasabi::stats::record_client_reconnect();
+        self.reconnects += 1;
         Ok(())
+    }
+
+    /// Successful re-dials of this client after a broken connection.
+    pub fn reconnects(&self) -> u64 {
+        self.reconnects
     }
 
     /// Re-dial the remembered endpoint with capped exponential backoff:

@@ -41,9 +41,9 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use wasabi::fleet::{AnalysisFactory, Fleet};
+use wasabi::fleet::{AnalysisFactory, Fleet, JobError};
 use wasabi::report::JsonValue;
-use wasabi::{stats, CancelToken, DiskCache, Faults, Job, ModuleCache};
+use wasabi::{CancelToken, DiskCache, Faults, Job, ModuleCache};
 use wasabi_wasm::instr::Val;
 
 use crate::protocol::{
@@ -148,6 +148,10 @@ struct Shared {
     jobs_done: AtomicU64,
     connections: AtomicU64,
     requests: AtomicU64,
+    timeouts: AtomicU64,
+    cancellations: AtomicU64,
+    retries: AtomicU64,
+    sheds: AtomicU64,
     /// In-flight batches in registration order (oldest first — the shed
     /// victim order).
     batches: Mutex<Vec<BatchEntry>>,
@@ -226,17 +230,17 @@ impl Shared {
             cache_evictions: self.cache.evictions(),
             disk_cache_hits: self.cache.disk_hits(),
             disk_cache_misses: self.cache.disk_misses(),
-            build_ms: stats::fused_build_time().as_secs_f64() * 1e3,
-            build_worker_ms: stats::build_worker_time().as_secs_f64() * 1e3,
+            build_ms: self.cache.build_time().as_secs_f64() * 1e3,
+            build_worker_ms: self.cache.build_worker_time().as_secs_f64() * 1e3,
             jobs_done: self.jobs_done.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             connections: self.connections.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
-            timeouts: stats::job_timeouts(),
-            cancellations: stats::job_cancellations(),
-            retries: stats::job_retries(),
-            sheds: stats::server_sheds(),
-            faults_injected: stats::faults_injected(),
+            timeouts: self.timeouts.load(Ordering::Relaxed),
+            cancellations: self.cancellations.load(Ordering::Relaxed),
+            retries: self.retries.load(Ordering::Relaxed),
+            sheds: self.sheds.load(Ordering::Relaxed),
+            faults_injected: Faults::process().total_hits(),
         }
     }
 }
@@ -382,6 +386,10 @@ impl Server {
             jobs_done: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             requests: AtomicU64::new(0),
+            timeouts: AtomicU64::new(0),
+            cancellations: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+            sheds: AtomicU64::new(0),
             batches: Mutex::new(Vec::new()),
             batch_seq: AtomicU64::new(0),
         })
@@ -441,7 +449,6 @@ fn handle_connection(shared: &Shared, mut conn: Conn) {
         return;
     }
     shared.connections.fetch_add(1, Ordering::Relaxed);
-    stats::record_server_connection();
 
     let mut frames = FrameReader::new();
     loop {
@@ -453,7 +460,6 @@ fn handle_connection(shared: &Shared, mut conn: Conn) {
             }
             Ok(Some(value)) => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
-                stats::record_server_request();
                 if dispatch(shared, &mut conn, &value).is_err() {
                     break;
                 }
@@ -462,7 +468,6 @@ fn handle_connection(shared: &Shared, mut conn: Conn) {
             // connection lives on: the framing layer is still aligned.
             Err(FrameError::Malformed(message)) => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
-                stats::record_server_request();
                 if respond_error(&mut conn, ErrorCode::MalformedFrame, &message).is_err() {
                     break;
                 }
@@ -471,7 +476,6 @@ fn handle_connection(shared: &Shared, mut conn: Conn) {
             // lie; answer, then close.
             Err(FrameError::TooLarge(len)) => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
-                stats::record_server_request();
                 let _ = respond_error(
                     &mut conn,
                     ErrorCode::FrameTooLarge,
@@ -658,7 +662,7 @@ fn handle_submit(
     let n = resolved.len() as u64;
     let mut admitted = try_reserve(shared, n);
     if admitted.is_err() && shared.config.shed && shared.shed_oldest() {
-        stats::record_server_shed();
+        shared.sheds.fetch_add(1, Ordering::Relaxed);
         let patience = Instant::now() + Duration::from_secs(2);
         while admitted.is_err() && Instant::now() < patience {
             thread::sleep(Duration::from_millis(5));
@@ -716,7 +720,14 @@ fn handle_submit(
     let summary = fleet.run_streaming(|mut outcome| {
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
         shared.jobs_done.fetch_add(1, Ordering::Relaxed);
-        stats::record_server_jobs(1);
+        match outcome.result {
+            Err(JobError::TimedOut) => shared.timeouts.fetch_add(1, Ordering::Relaxed),
+            Err(JobError::Cancelled) => shared.cancellations.fetch_add(1, Ordering::Relaxed),
+            _ => 0,
+        };
+        shared
+            .retries
+            .fetch_add(outcome.stats.retries.into(), Ordering::Relaxed);
         if write_error.is_some() {
             return;
         }

@@ -42,4 +42,4 @@ pub use protocol::{
     read_frame, write_frame, ErrorCode, FrameError, FrameReader, JobResult, JobSpec, Request,
     Response, StatusReply, MAX_FRAME,
 };
-pub use store::{ContentStore, UploadReceipt};
+pub use store::{ContentStore, UploadError, UploadReceipt};

@@ -613,9 +613,10 @@ pub struct StatusReply {
     /// Zero when the daemon runs without `--disk-cache`.
     pub disk_cache_misses: u64,
     /// Total fused instrument+translate build wall time, milliseconds
-    /// (coordinator clock, summed over all builds this process did).
+    /// (coordinator clock, summed over the sessions this daemon's cache
+    /// built; disk-tier loads add zero).
     pub build_ms: f64,
-    /// Summed busy time of all build worker threads, milliseconds.
+    /// Summed busy time of those builds' worker threads, milliseconds.
     /// `build_worker_ms / build_ms` approximates effective parallelism.
     pub build_worker_ms: f64,
     /// Jobs whose result frame has been streamed.
@@ -626,15 +627,16 @@ pub struct StatusReply {
     pub connections: u64,
     /// Request frames dispatched over the daemon's lifetime.
     pub requests: u64,
-    /// Jobs that exceeded their deadline (process-wide).
+    /// Jobs that exceeded their deadline.
     pub timeouts: u64,
-    /// Jobs cancelled via their cancel token (process-wide).
+    /// Jobs cancelled via their cancel token.
     pub cancellations: u64,
-    /// Transient-failure retry attempts (process-wide).
+    /// Transient-failure retry attempts.
     pub retries: u64,
-    /// Batches load-shed to admit newer work (process-wide).
+    /// Batches load-shed to admit newer work.
     pub sheds: u64,
-    /// Faults injected by the failpoint registry (0 outside chaos runs).
+    /// Faults injected by the process's `WASABI_FAULTS` failpoints (0
+    /// outside chaos runs).
     pub faults_injected: u64,
 }
 

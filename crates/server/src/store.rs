@@ -7,7 +7,13 @@
 //! entry. Submit requests then name modules by hash, which is what makes
 //! the daemon's warm [`wasabi::ModuleCache`] effective across
 //! connections: the same bytes always map to the same cache key.
+//!
+//! The key is a 64-bit FNV-1a hash, not a cryptographic one, so each
+//! entry keeps its uploaded bytes: a dedup hit must match them byte for
+//! byte, and an upload whose key collides with different bytes is
+//! refused rather than served another client's module.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -26,10 +32,42 @@ pub struct UploadReceipt {
     pub dedup: bool,
 }
 
+/// Why an upload stored nothing.
+#[derive(Debug)]
+pub enum UploadError {
+    /// The bytes do not decode as a wasm module.
+    Decode(DecodeError),
+    /// Different bytes are already stored under the same content key.
+    Collision(String),
+}
+
+impl std::fmt::Display for UploadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            UploadError::Decode(e) => e.fmt(f),
+            UploadError::Collision(hash) => {
+                write!(
+                    f,
+                    "content key {hash} collides with a different stored module"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for UploadError {}
+
+/// A stored module and the bytes it was decoded from.
+#[derive(Debug)]
+struct Stored {
+    bytes: Vec<u8>,
+    module: Arc<Module>,
+}
+
 /// Thread-safe content-addressed store of decoded modules.
 #[derive(Debug, Default)]
 pub struct ContentStore {
-    modules: Mutex<HashMap<String, Arc<Module>>>,
+    modules: Mutex<HashMap<String, Stored>>,
     uploads: AtomicU64,
     dedup_hits: AtomicU64,
 }
@@ -45,32 +83,59 @@ impl ContentStore {
     ///
     /// # Errors
     ///
-    /// If the bytes do not decode as a wasm module (nothing is stored).
-    pub fn insert(&self, bytes: &[u8]) -> Result<UploadReceipt, DecodeError> {
+    /// If the bytes do not decode as a wasm module, or their content key
+    /// is taken by different bytes (nothing is stored either way).
+    pub fn insert(&self, bytes: &[u8]) -> Result<UploadReceipt, UploadError> {
+        self.insert_keyed(content_key(bytes), bytes)
+    }
+
+    fn insert_keyed(&self, hash: String, bytes: &[u8]) -> Result<UploadReceipt, UploadError> {
         self.uploads.fetch_add(1, Ordering::Relaxed);
-        let hash = content_key(bytes);
         {
             let modules = self.modules.lock().expect("store lock");
-            if modules.contains_key(&hash) {
-                self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(UploadReceipt { hash, dedup: true });
+            if let Some(stored) = modules.get(&hash) {
+                return self.dedup_hit(hash, &stored.bytes, bytes);
             }
         }
         // Decode outside the lock: a big module must not stall other
         // connections' lookups. A racing identical upload just wastes one
         // decode; the entry stays single.
-        let module = Arc::new(decode(bytes)?);
+        let module = Arc::new(decode(bytes).map_err(UploadError::Decode)?);
         let mut modules = self.modules.lock().expect("store lock");
-        if modules.insert(hash.clone(), module).is_some() {
-            self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(UploadReceipt { hash, dedup: true });
+        match modules.entry(hash.clone()) {
+            Entry::Occupied(stored) => self.dedup_hit(hash, &stored.get().bytes, bytes),
+            Entry::Vacant(slot) => {
+                slot.insert(Stored {
+                    bytes: bytes.to_vec(),
+                    module,
+                });
+                Ok(UploadReceipt { hash, dedup: false })
+            }
         }
-        Ok(UploadReceipt { hash, dedup: false })
+    }
+
+    /// An upload whose key is already stored: a dedup hit if the bytes
+    /// match, a refused collision if they do not.
+    fn dedup_hit(
+        &self,
+        hash: String,
+        stored: &[u8],
+        bytes: &[u8],
+    ) -> Result<UploadReceipt, UploadError> {
+        if stored != bytes {
+            return Err(UploadError::Collision(hash));
+        }
+        self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+        Ok(UploadReceipt { hash, dedup: true })
     }
 
     /// The module stored under `hash`, if any.
     pub fn get(&self, hash: &str) -> Option<Arc<Module>> {
-        self.modules.lock().expect("store lock").get(hash).cloned()
+        self.modules
+            .lock()
+            .expect("store lock")
+            .get(hash)
+            .map(|stored| Arc::clone(&stored.module))
     }
 
     /// Distinct modules stored.
@@ -131,6 +196,32 @@ mod tests {
         assert_eq!(store.dedup_hits(), 1);
         assert!(store.get(&first.hash).is_some());
         assert!(store.get("fnv64:0000000000000000").is_none());
+    }
+
+    #[test]
+    fn a_key_collision_with_different_bytes_is_refused() {
+        let store = ContentStore::new();
+        let key = "fnv64:collision";
+        assert!(
+            !store
+                .insert_keyed(key.into(), &wasm(1))
+                .expect("stores")
+                .dedup
+        );
+        let refused = store
+            .insert_keyed(key.into(), &wasm(2))
+            .expect_err("same key, different bytes");
+        assert!(matches!(refused, UploadError::Collision(_)), "{refused}");
+        assert_eq!(store.dedup_hits(), 0, "a collision is not a dedup hit");
+        assert_eq!(store.len(), 1);
+        // The first upload's module is still the one served.
+        assert!(
+            store
+                .insert_keyed(key.into(), &wasm(1))
+                .expect("dedups")
+                .dedup
+        );
+        assert_eq!(store.dedup_hits(), 1);
     }
 
     #[test]

@@ -3,6 +3,9 @@
 //! a second connection, load-shedding evicts the oldest batch, drain
 //! races concurrent submitters without losing or duplicating results,
 //! and a client survives a daemon restart via reconnect-with-backoff.
+//!
+//! Every counter is owned by its daemon (or client), so these tests run
+//! in parallel in one process and assert exact counts.
 
 use std::time::{Duration, Instant};
 
@@ -52,11 +55,15 @@ fn deadline_reclaims_a_worker_and_the_daemon_serves_the_next_batch() {
     let server = Server::bind_unix(&path, config).expect("binds");
     let serve = std::thread::spawn(move || server.serve());
 
+    // A bystander daemon in the same process: A's timeout is not B's.
+    let bystander_path = unix_socket_path("deadline-bystander");
+    let bystander =
+        Server::bind_unix(&bystander_path, ServerConfig::new(registry::by_name)).expect("binds");
+    let bystander_serve = std::thread::spawn(move || bystander.serve());
+
     let mut client = Client::connect_unix(&path).expect("connects");
     let (spin, _) = client.upload(&spin_wasm()).expect("uploads");
     let (square, _) = client.upload(&square_wasm()).expect("uploads");
-
-    let timeouts_before = client.status().expect("status").timeouts;
 
     // A batch mixing an infinite loop under a 100 ms deadline with real
     // work: the spinner fails structured, the real work completes.
@@ -97,16 +104,17 @@ fn deadline_reclaims_a_worker_and_the_daemon_serves_the_next_batch() {
         .collect::<Result<Vec<_>, _>>()
         .expect("streams");
     assert!(next.iter().all(|r| r.results.is_ok()));
-    let status = client.status().expect("status");
-    assert!(
-        status.timeouts > timeouts_before,
-        "status counts the timeout: {} then {}",
-        timeouts_before,
-        status.timeouts
-    );
+    assert_eq!(client.status().expect("status").timeouts, 1);
+    let mut other = Client::connect_unix(&bystander_path).expect("connects");
+    assert_eq!(other.status().expect("status").timeouts, 0);
 
     client.shutdown().expect("shuts down");
     serve.join().expect("serve thread").expect("clean exit");
+    other.shutdown().expect("shuts down");
+    bystander_serve
+        .join()
+        .expect("serve thread")
+        .expect("clean exit");
 }
 
 #[test]
@@ -119,7 +127,6 @@ fn a_tagged_batch_is_cancelled_from_a_second_connection() {
 
     let mut submitter = Client::connect_unix(&path).expect("connects");
     let (spin, _) = submitter.upload(&spin_wasm()).expect("uploads");
-    let cancellations_before = submitter.status().expect("status").cancellations;
 
     // The doomed batch spins forever; its stream blocks until the cancel
     // lands, so iterate it on a side thread.
@@ -169,8 +176,7 @@ fn a_tagged_batch_is_cancelled_from_a_second_connection() {
     assert!(done, "the batch completed after cancellation");
     let error = results[0].results.as_ref().expect_err("cancelled");
     assert!(error.contains("cancelled"), "{error}");
-    let status = canceller.status().expect("status");
-    assert!(status.cancellations > cancellations_before);
+    assert_eq!(canceller.status().expect("status").cancellations, 1);
 
     canceller.shutdown().expect("shuts down");
     serve.join().expect("serve thread").expect("clean exit");
@@ -188,7 +194,6 @@ fn shedding_cancels_the_oldest_batch_to_admit_new_work() {
     let mut first = Client::connect_unix(&path).expect("connects");
     let (spin, _) = first.upload(&spin_wasm()).expect("uploads");
     let (square, _) = first.upload(&square_wasm()).expect("uploads");
-    let sheds_before = first.status().expect("status").sheds;
 
     // Fill the daemon with a batch that would otherwise never finish.
     let old = std::thread::spawn(move || {
@@ -242,7 +247,8 @@ fn shedding_cancels_the_oldest_batch_to_admit_new_work() {
         assert!(error.contains("cancelled"), "{error}");
     }
     let status = second.status().expect("status");
-    assert!(status.sheds > sheds_before, "shed was counted");
+    assert_eq!(status.sheds, 1, "shed was counted");
+    assert_eq!(status.cancellations, 2, "both shed jobs were cancelled");
 
     second.shutdown().expect("shuts down");
     serve.join().expect("serve thread").expect("clean exit");
@@ -329,7 +335,6 @@ fn a_live_client_survives_a_daemon_restart_via_backoff_reconnect() {
     let serve = std::thread::spawn(move || server.serve());
 
     // The old connection is dead; the remembered endpoint is not.
-    let reconnects_before = wasabi::stats::client_reconnects();
     assert!(
         client.status().is_err(),
         "the old connection must be broken"
@@ -337,7 +342,7 @@ fn a_live_client_survives_a_daemon_restart_via_backoff_reconnect() {
     client
         .reconnect_with_backoff(10)
         .expect("daemon is back on the same socket");
-    assert!(wasabi::stats::client_reconnects() > reconnects_before);
+    assert_eq!(client.reconnects(), 1);
     assert_eq!(client.status().expect("status").state, "accepting");
 
     // The restarted daemon is empty — the client's world survives a

@@ -7,15 +7,13 @@
 //! ```
 
 use wasabi_repro::analyses::registry;
-use wasabi_repro::core::{stats, Wasabi};
+use wasabi_repro::core::Wasabi;
 use wasabi_repro::workloads::{compile, polybench};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let module = compile(&polybench::by_name("gemm", 12).expect("known kernel"));
 
     let mut analyses = registry::table4();
-    let instr_before = stats::instrumentation_passes();
-    let exec_before = stats::execution_passes();
 
     let mut builder = Wasabi::builder();
     for analysis in &mut analyses {
@@ -24,11 +22,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut pipeline = builder.build(&module)?;
     pipeline.run("main", &[])?;
 
+    // One pipeline is one session: instrumented once for the union hook
+    // set, executed once by `run`.
     eprintln!(
-        "ran {} analyses over gemm in {} instrumentation pass(es) and {} execution pass(es)",
+        "ran {} analyses over gemm in 1 instrumentation pass ({} hooks, built in {:.1} ms) \
+         and 1 execution pass",
         pipeline.len(),
-        stats::instrumentation_passes() - instr_before,
-        stats::execution_passes() - exec_before,
+        pipeline.hooks().len(),
+        pipeline.session().build_time().as_secs_f64() * 1e3,
     );
     for report in pipeline.reports() {
         println!("{}", report.to_json());

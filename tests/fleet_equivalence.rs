@@ -6,8 +6,7 @@
 //!
 //! Also: the shared cache performs **exactly one** instrument+translate
 //! per distinct (module, analysis hook set), no matter how many jobs or
-//! workers touch it, observed through the cache's own counters (immune to
-//! the process-global stats other tests mutate concurrently).
+//! workers touch it, observed through the cache's own counters.
 
 use std::sync::Arc;
 

@@ -9,11 +9,13 @@
 //! a divergence that preserves aggregates), and through *full internal
 //! state* (complete traces, covered-location sets, branch-outcome maps)
 //! for concrete analysis types in `full_state_matches_event_for_event`.
+//! `eight_table4_analyses_fused_cost_one_pass_each_way` pins the cost
+//! side: one session, one execution.
 
 use proptest::prelude::*;
 
 use wasabi_repro::analyses::registry;
-use wasabi_repro::core::hooks::Analysis;
+use wasabi_repro::core::hooks::{Analysis, HookSet};
 use wasabi_repro::core::{AnalysisSession, Wasabi};
 use wasabi_repro::workloads::synthetic::{synthetic_app, SyntheticConfig};
 use wasabi_repro::workloads::{compile, polybench};
@@ -135,4 +137,30 @@ fn all_nine_analyses_agree_on_a_polybench_kernel() {
     assert!(expected
         .iter()
         .any(|json| json.contains("\"total\"") && !json.contains("\"total\":0")));
+}
+
+#[test]
+fn eight_table4_analyses_fused_cost_one_pass_each_way() {
+    let module = compile(&polybench::by_name("gemm", 8).expect("known kernel"));
+    let mut analyses = registry::table4();
+    let mut builder = Wasabi::builder();
+    for analysis in &mut analyses {
+        builder = builder.analysis(analysis.as_mut());
+    }
+    let mut pipeline = builder.build(&module).expect("instruments");
+    assert_eq!(pipeline.len(), 8);
+    // ONE instrumentation pass: the pipeline's single session holds the
+    // union hook set (several Table-4 analyses use all 23 hooks).
+    assert_eq!(pipeline.session().info().enabled, HookSet::all());
+    pipeline.run("main", &[]).expect("runs");
+
+    let reports = pipeline.reports();
+    for (report, name) in reports.iter().zip(registry::TABLE4_NAMES) {
+        assert_eq!(report.analysis, name);
+        assert!(!report.data.is_null(), "{name} must report real data");
+    }
+    // ONE execution pass: every report equals its analysis' own
+    // single-run session, which a second fused execution would double.
+    let fused: Vec<String> = reports.iter().map(|report| report.to_json()).collect();
+    assert_eq!(fused, sequential_reports(&module, &registry::TABLE4_NAMES));
 }
