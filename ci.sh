@@ -9,30 +9,34 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# repeat <count> <command...>: run a command <count> times; on the first
+# failure print its output and stop CI.
+repeat() {
+    local count=$1 log
+    shift
+    log="$(mktemp)"
+    for run in $(seq 1 "$count"); do
+        if ! "$@" >"$log" 2>&1; then
+            cat "$log"
+            echo "$* failed on run $run of $count"
+            exit 1
+        fi
+    done
+    rm -f "$log"
+}
+
 # Determinism gate: the core library's unit tests run in parallel in one
 # process (fleets, caches, failpoints). Each test scopes its own fault
 # handle, so order must not matter; repeating the suite turns a
 # scheduling-dependent flake into a CI failure instead of a rare one.
 echo "==> cargo test -q -p wasabi --lib (30 runs)"
-for run in $(seq 1 30); do
-    if ! cargo test -q -p wasabi --lib >/tmp/wasabi_lib_tests.log 2>&1; then
-        cat /tmp/wasabi_lib_tests.log
-        echo "wasabi lib tests failed on run $run of 30"
-        exit 1
-    fi
-done
+repeat 30 cargo test -q -p wasabi --lib
 
 # Same gate for the daemon lifecycle suite: several daemons and clients
 # run in one test process, each owning its counters, and the tests
 # assert exact counts.
 echo "==> cargo test -q -p wasabi-server --test lifecycle (10 runs)"
-for run in $(seq 1 10); do
-    if ! cargo test -q -p wasabi-server --test lifecycle >/tmp/wasabi_lifecycle_tests.log 2>&1; then
-        cat /tmp/wasabi_lifecycle_tests.log
-        echo "wasabi-server lifecycle tests failed on run $run of 10"
-        exit 1
-    fi
-done
+repeat 10 cargo test -q -p wasabi-server --test lifecycle
 
 # Differential-oracle gate: re-run the three-way oracle (direct-emit vs.
 # rewrite+flat vs. Reference) with elevated case counts so every CI run
@@ -77,190 +81,17 @@ for example in examples/*.rs; do
     cargo run --release -q -p wasabi-repro --example "$name" >/dev/null
 done
 
-echo "==> bench smoke (fig9 --smoke)"
-cargo run --release -q -p wasabi-bench --bin fig9 -- --smoke >/dev/null
-
-echo "==> bench smoke (pipeline --smoke)"
-cargo run --release -q -p wasabi-bench --bin pipeline -- --smoke --out /tmp/BENCH_pipeline_smoke.json >/dev/null
-
-echo "==> bench smoke (interp --smoke)"
-cargo run --release -q -p wasabi-bench --bin interp -- --smoke --out /tmp/BENCH_interp_smoke.json >/dev/null
-
-# Interpreter gate: the flat pre-translated IR must run PolyBench at
-# least 2x faster than the structured walk (geomean over kernels), in
-# the committed baseline AND a fresh smoke run. Both arms run in the same
-# process, so the ratio is robust to host speed. Re-record with:
-#   cargo run --release -p wasabi-bench --bin interp
-echo "==> perf gate: BENCH_interp.json (flat >= 2x structured)"
-python3 - <<'EOF'
-import json, sys
-with open("BENCH_interp.json") as f:
-    committed = json.load(f)
-with open("/tmp/BENCH_interp_smoke.json") as f:
-    smoke = json.load(f)
-for label, data in (("committed", committed), ("smoke", smoke)):
-    speedup = data["geomean_speedup"]
-    if speedup < 2.0:
-        sys.exit(f"flat-IR interpreter speedup regressed ({label}): "
-                 f"{speedup:.3f}x < 2x the structured walk")
-print(f"    flat vs structured: committed {committed['geomean_speedup']:.2f}x, "
-      f"smoke {smoke['geomean_speedup']:.2f}x (>= 2x)")
-EOF
-
-echo "==> bench smoke (overhead --smoke)"
-cargo run --release -q -p wasabi-bench --bin overhead -- --smoke --out /tmp/BENCH_overhead_smoke.json >/dev/null
-
-echo "==> bench smoke (fleet --smoke)"
-cargo run --release -q -p wasabi-bench --bin fleet -- --smoke --out /tmp/BENCH_fleet_smoke.json >/dev/null
-
-echo "==> bench smoke (parallel --smoke)"
-cargo run --release -q -p wasabi-bench --bin parallel -- --smoke --out /tmp/BENCH_parallel_smoke.json >/dev/null
-
-echo "==> bench smoke (cohort --smoke)"
-cargo run --release -q -p wasabi-bench --bin cohort -- --smoke --out /tmp/BENCH_cohort_smoke.json >/dev/null
-
-# Parallel-build + persistent-cache gate: a disk-warm process start must
-# load prepared sessions at least 2x faster than a cold build (committed
-# AND fresh smoke), and the committed thread-sweep must show >= 1.5x
-# build speedup at max threads — judged only when the recording box had
-# more than one core (like the fleet gate, the JSON records `cores`).
-# Re-record with:  cargo run --release -p wasabi-bench --bin parallel
-echo "==> perf gate: BENCH_parallel.json (disk-warm >= 2x; threads >= 1.5x when cores > 1)"
-python3 - <<'EOF'
-import json, sys
-with open("BENCH_parallel.json") as f:
-    committed = json.load(f)
-with open("/tmp/BENCH_parallel_smoke.json") as f:
-    smoke = json.load(f)
-for label, data in (("committed", committed), ("smoke", smoke)):
-    ratio = data["disk_warm_vs_cold"]
-    if ratio < 2.0:
-        sys.exit(f"disk-warm start regressed ({label}): "
-                 f"{ratio:.3f}x < 2x the cold build")
-if committed["cores"] > 1:
-    speedup = committed["speedup_max_threads"]
-    if speedup < 1.5:
-        sys.exit(f"parallel build speedup regressed: {speedup:.3f}x < 1.5x "
-                 f"at {committed['max_threads']} thread(s)")
-    print(f"    build speedup: {speedup:.2f}x at {committed['max_threads']} "
-          f"thread(s) (>= 1.5x on {committed['cores']} cores)")
-else:
-    print(f"    thread-scaling gate skipped: committed baseline recorded on "
-          f"1 core (speedup {committed['speedup_max_threads']:.2f}x)")
-print(f"    disk-warm vs cold start: committed "
-      f"{committed['disk_warm_vs_cold']:.2f}x, smoke "
-      f"{smoke['disk_warm_vs_cold']:.2f}x (>= 2x)")
-EOF
-
-# Batch-engine gate: the committed baseline must show the shared
-# translated-module cache paying off — warm-cache jobs/sec at least 1.5x
-# the cold single-worker rate. (Worker *scaling* is not gated: the CI box
-# may be single-core; the JSON records `cores` for context.) Re-record
-# with:  cargo run --release -p wasabi-bench --bin fleet
-echo "==> perf gate: BENCH_fleet.json (warm >= 1.5x cold single-worker)"
-python3 - <<'EOF'
-import json, sys
-with open("BENCH_fleet.json") as f:
-    committed = json.load(f)
-ratio = committed["warm_allcores_vs_cold_1worker"]
-if ratio < 1.5:
-    sys.exit(f"fleet warm-cache throughput regressed: "
-             f"{ratio:.3f}x < 1.5x cold single-worker")
-with open("/tmp/BENCH_fleet_smoke.json") as f:
-    smoke = json.load(f)
-smoke_ratio = smoke["warm_allcores_vs_cold_1worker"]
-if smoke_ratio < 1.5:
-    sys.exit(f"fleet warm-cache throughput regressed in fresh smoke run: "
-             f"{smoke_ratio:.3f}x < 1.5x cold single-worker")
-print(f"    fleet warm-vs-cold: committed {ratio:.2f}x, smoke {smoke_ratio:.2f}x "
-      f"(>= 1.5x; amortization {committed['amortization_warm_vs_cold_1worker']:.2f}x, "
-      f"worker scaling {committed['scaling_1worker_to_allcores_warm']:.2f}x "
-      f"on {committed['cores']} core(s))")
-EOF
-
-# Cohort-sweep gate: one N-input sweep through `Pipeline::run_cohort`
-# must beat N fleet jobs on a warm cache by >= 1.5x (committed AND fresh
-# smoke) — both arms at 1 worker, so the ratio measures the per-job
-# overhead (dispatch, host-plan build, analysis instantiation) the
-# cohort amortizes, not parallelism. Re-record with:
-#   cargo run --release -p wasabi-bench --bin cohort
-echo "==> perf gate: BENCH_cohort.json (cohort >= 1.5x warm 1-worker fleet)"
-python3 - <<'EOF'
-import json, sys
-with open("BENCH_cohort.json") as f:
-    committed = json.load(f)
-with open("/tmp/BENCH_cohort_smoke.json") as f:
-    smoke = json.load(f)
-for label, data in (("committed", committed), ("smoke", smoke)):
-    ratio = data["speedup_cohort_vs_fleet"]
-    if ratio < 1.5:
-        sys.exit(f"cohort sweep speedup regressed ({label}): "
-                 f"{ratio:.3f}x < 1.5x warm 1-worker fleet")
-print(f"    cohort vs warm fleet: committed "
-      f"{committed['speedup_cohort_vs_fleet']:.2f}x ({committed['inputs']} inputs), "
-      f"smoke {smoke['speedup_cohort_vs_fleet']:.2f}x (>= 1.5x)")
-EOF
-
-# Host-call intrinsics + direct-emit gate: the committed baseline must
-# show the >= 1.5x all-hooks improvement over the generic-call path, the
-# direct-emit path must run all-hooks instrumentation in <= 0.75x the
-# rewrite path's wall time (committed AND fresh smoke), and the freshly
-# measured all-hooks overhead must stay within 1.25x of the committed
-# baseline. The absolute-overhead tolerance is deliberately looser than
-# the ratio gates: smoke mode (3 kernels, all-hooks row only) reads
-# 10-20% above a back-to-back full run of the SAME binary on this
-# hardware (observed: full-run subset geomean 10.9x, three smoke runs
-# 12.0/12.2/13.2x with no code change), so x1.1 flakes on variance
-# while x1.25 still catches real regressions. Re-record with:
-#   cargo run --release -p wasabi-bench --bin overhead
-echo "==> perf gate: BENCH_overhead.json (improvement >= 1.5x, direct <= 0.75x rewrite, smoke within baseline x1.25)"
-python3 - <<'EOF'
-import json, math, sys
-with open("BENCH_overhead.json") as f:
-    committed = json.load(f)
-with open("/tmp/BENCH_overhead_smoke.json") as f:
-    smoke = json.load(f)
-if committed["all"]["improvement"] < 1.5:
-    sys.exit(f"committed intrinsic improvement regressed: "
-             f"{committed['all']['improvement']:.3f}x < 1.5x")
-for label, data in (("committed", committed), ("smoke", smoke)):
-    ratio = data["all"]["direct_vs_rewrite"]
-    if ratio > 0.75:
-        sys.exit(f"direct-emit advantage regressed ({label}): all-hooks wall "
-                 f"{ratio:.3f}x of rewrite path > 0.75x")
-print(f"    direct-emit vs rewrite: committed "
-      f"{committed['all']['direct_vs_rewrite']:.2f}x, smoke "
-      f"{smoke['all']['direct_vs_rewrite']:.2f}x (<= 0.75x)")
-# Compare the smoke kernels against the SAME kernels of the committed
-# baseline (the smoke subset's geomean differs from the full suite's).
-baseline = {k["name"]: k["overhead_intrinsic"] for k in committed["kernels"]}
-measured = [(k["name"], k["overhead_intrinsic"]) for k in smoke["kernels"]]
-missing = [name for name, _ in measured if name not in baseline]
-if missing:
-    sys.exit(f"kernels missing from committed baseline: {missing}")
-geo = lambda xs: math.exp(sum(math.log(x) for x in xs) / len(xs))
-smoke_geo = geo([o for _, o in measured])
-base_geo = geo([baseline[name] for name, _ in measured])
-if smoke_geo > base_geo * 1.25:
-    sys.exit(f"all-hooks overhead regressed: measured {smoke_geo:.2f}x > "
-             f"baseline {base_geo:.2f}x * 1.25 (same-kernel subset)")
-print(f"    all-hooks overhead: {smoke_geo:.2f}x "
-      f"(same-kernel baseline {base_geo:.2f}x, improvement over "
-      f"generic path {committed['all']['improvement']:.2f}x)")
-EOF
-
-# Perf regression gate: the recorded fused-pipeline speedup must stay
-# >= 2.0x. Re-record with:  cargo run --release -p wasabi-bench --bin pipeline
-echo "==> perf gate: BENCH_pipeline.json fused speedup >= 2.0x"
-python3 - <<'EOF'
-import json, sys
-with open("BENCH_pipeline.json") as f:
-    bench = json.load(f)
-speedup = bench["speedup"]
-if speedup < 2.0:
-    sys.exit(f"fused-pipeline speedup regressed: {speedup:.3f}x < 2.0x")
-print(f"    fused-pipeline speedup: {speedup:.3f}x (>= 2.0x)")
-EOF
+# Every bench bin in smoke mode (seconds each, nothing written). The
+# baseline bins check their fresh result against the gate table in
+# crates/bench/src/lib.rs and exit 1 on a failure; `cargo test` above
+# already checked the committed BENCH_*.json files against the same
+# table (crates/bench/tests/committed_baselines.rs).
+echo "==> bench smoke (every bench bin --smoke, gated)"
+for bin in crates/bench/src/bin/*.rs; do
+    name="$(basename "$bin" .rs)"
+    echo "    $name --smoke"
+    target/release/"$name" --smoke >/dev/null
+done
 
 # Server e2e smoke: bring up a real wasabid on a temp unix socket, prove
 # content dedup via the daemon's own counters, run a 3-job batch through
@@ -275,13 +106,37 @@ cleanup_server_smoke() {
 }
 trap cleanup_server_smoke EXIT
 
+# start_wasabid <socket> <log> [wasabid flags...]: start a daemon with 2
+# workers in the background and wait for its socket.
+start_wasabid() {
+    local sock=$1 log=$2
+    shift 2
+    target/release/wasabid --socket "$sock" --workers 2 "$@" 2>"$log" &
+    WASABID_PID=$!
+    for _ in $(seq 1 200); do [ -S "$sock" ] && break; sleep 0.05; done
+    [ -S "$sock" ] || { cat "$log"; echo "wasabid ($log) did not come up"; exit 1; }
+}
+
+# stop_wasabid <socket>: drain the daemon. In-flight work is done, so it
+# must exit 0 on its own and remove its socket.
+stop_wasabid() {
+    local sock=$1
+    target/release/wasabi-client --socket "$sock" drain 2>/dev/null
+    for _ in $(seq 1 200); do kill -0 "$WASABID_PID" 2>/dev/null || break; sleep 0.05; done
+    if kill -0 "$WASABID_PID" 2>/dev/null; then
+        echo "wasabid on $sock did not exit after drain"; exit 1
+    fi
+    wait "$WASABID_PID"
+    WASABID_PID=""
+    if [ -e "$sock" ]; then
+        echo "wasabid left its socket file $sock behind"; exit 1
+    fi
+}
+
 cargo run --release -q -p wasabi-workloads --bin gen -- \
     kernel gemm 8 "$SMOKE_DIR/gemm.wasm" >/dev/null
 SOCK="$SMOKE_DIR/wasabid.sock"
-target/release/wasabid --socket "$SOCK" --workers 2 2>"$SMOKE_DIR/wasabid.log" &
-WASABID_PID=$!
-for _ in $(seq 1 200); do [ -S "$SOCK" ] && break; sleep 0.05; done
-[ -S "$SOCK" ] || { cat "$SMOKE_DIR/wasabid.log"; echo "wasabid did not come up"; exit 1; }
+start_wasabid "$SOCK" "$SMOKE_DIR/wasabid.log"
 
 # Upload the same module twice: the second must be a dedup hit, observed
 # through the status counters (not just the client's word for it).
@@ -342,17 +197,7 @@ print(f"    streamed == batch on 3 jobs; daemon built once "
       f"(cache_misses={st['cache_misses']}, cache_hits={st['cache_hits']})")
 EOF
 
-# Drain: in-flight work is done, so the daemon must exit cleanly on its own.
-target/release/wasabi-client --socket "$SOCK" drain 2>/dev/null
-for _ in $(seq 1 200); do kill -0 "$WASABID_PID" 2>/dev/null || break; sleep 0.05; done
-if kill -0 "$WASABID_PID" 2>/dev/null; then
-    echo "wasabid did not exit after drain"; exit 1
-fi
-wait "$WASABID_PID"
-WASABID_PID=""
-if [ -e "$SOCK" ]; then
-    echo "wasabid left its socket file behind"; exit 1
-fi
+stop_wasabid "$SOCK"
 echo "    drained: wasabid exited 0 and removed its socket"
 
 # Disk-tier e2e: a daemon started with --disk-cache persists every
@@ -363,11 +208,7 @@ echo "    drained: wasabid exited 0 and removed its socket"
 echo "==> server e2e: disk cache survives a daemon restart"
 DCACHE="$SMOKE_DIR/diskcache"
 SOCK2="$SMOKE_DIR/wasabid2.sock"
-target/release/wasabid --socket "$SOCK2" --workers 2 --disk-cache "$DCACHE" \
-    2>"$SMOKE_DIR/wasabid2.log" &
-WASABID_PID=$!
-for _ in $(seq 1 200); do [ -S "$SOCK2" ] && break; sleep 0.05; done
-[ -S "$SOCK2" ] || { cat "$SMOKE_DIR/wasabid2.log"; echo "wasabid (disk cache) did not come up"; exit 1; }
+start_wasabid "$SOCK2" "$SMOKE_DIR/wasabid2.log" --disk-cache "$DCACHE"
 target/release/wasabi-client --socket "$SOCK2" submit "$SMOKE_DIR/gemm.wasm" \
     --analyses instruction_mix >/dev/null 2>&1
 target/release/wasabi-client --socket "$SOCK2" status >"$SMOKE_DIR/status3.json"
@@ -383,22 +224,12 @@ print(f"    cold daemon: disk_cache_misses={s['disk_cache_misses']}, "
       f"built in {s['build_ms']:.1f} ms "
       f"(worker busy {s['build_worker_ms']:.1f} ms)")
 EOF
-target/release/wasabi-client --socket "$SOCK2" drain 2>/dev/null
-for _ in $(seq 1 200); do kill -0 "$WASABID_PID" 2>/dev/null || break; sleep 0.05; done
-if kill -0 "$WASABID_PID" 2>/dev/null; then
-    echo "wasabid (disk cache) did not exit after drain"; exit 1
-fi
-wait "$WASABID_PID"
-WASABID_PID=""
+stop_wasabid "$SOCK2"
 
 # Restart over the SAME cache directory: the upload is new (fresh content
 # store), the memory tier is cold (cache_misses goes to 1), but the disk
 # tier serves the prepared session — zero rebuilds in this process.
-target/release/wasabid --socket "$SOCK2" --workers 2 --disk-cache "$DCACHE" \
-    2>"$SMOKE_DIR/wasabid3.log" &
-WASABID_PID=$!
-for _ in $(seq 1 200); do [ -S "$SOCK2" ] && break; sleep 0.05; done
-[ -S "$SOCK2" ] || { cat "$SMOKE_DIR/wasabid3.log"; echo "restarted wasabid did not come up"; exit 1; }
+start_wasabid "$SOCK2" "$SMOKE_DIR/wasabid3.log" --disk-cache "$DCACHE"
 target/release/wasabi-client --socket "$SOCK2" submit "$SMOKE_DIR/gemm.wasm" \
     --analyses instruction_mix >"$SMOKE_DIR/restarted.jsonl" 2>/dev/null
 target/release/wasabi-client --socket "$SOCK2" status >"$SMOKE_DIR/status4.json"
@@ -418,13 +249,7 @@ assert len(results) == 1 and "reports" in results[0], results
 print(f"    restarted daemon: disk_cache_hits={s['disk_cache_hits']}, "
       f"build_ms={s['build_ms']} (served from disk, no rebuild)")
 EOF
-target/release/wasabi-client --socket "$SOCK2" drain 2>/dev/null
-for _ in $(seq 1 200); do kill -0 "$WASABID_PID" 2>/dev/null || break; sleep 0.05; done
-if kill -0 "$WASABID_PID" 2>/dev/null; then
-    echo "restarted wasabid did not exit after drain"; exit 1
-fi
-wait "$WASABID_PID"
-WASABID_PID=""
+stop_wasabid "$SOCK2"
 echo "    disk tier: rebuild-free restart verified"
 
 # Governance e2e: a job that never terminates is killed by its deadline
@@ -435,10 +260,7 @@ echo "==> server e2e: deadline kills a spinning job, daemon keeps serving"
 SOCK3="$SMOKE_DIR/wasabid-gov.sock"
 cargo run --release -q -p wasabi-workloads --bin gen -- \
     spin "$SMOKE_DIR/spin.wasm" >/dev/null
-target/release/wasabid --socket "$SOCK3" --workers 2 2>"$SMOKE_DIR/wasabid-gov.log" &
-WASABID_PID=$!
-for _ in $(seq 1 200); do [ -S "$SOCK3" ] && break; sleep 0.05; done
-[ -S "$SOCK3" ] || { cat "$SMOKE_DIR/wasabid-gov.log"; echo "wasabid (governance) did not come up"; exit 1; }
+start_wasabid "$SOCK3" "$SMOKE_DIR/wasabid-gov.log"
 if target/release/wasabi-client --socket "$SOCK3" submit "$SMOKE_DIR/spin.wasm" \
     --deadline-ms 100 >/dev/null 2>"$SMOKE_DIR/deadline.err"; then
     echo "client must exit non-zero when its job is killed by the deadline"; exit 1
@@ -460,13 +282,7 @@ assert s["jobs_done"] >= 2, f"the follow-up batch must have run: {s}"
 print(f"    deadline kill counted (timeouts={s['timeouts']}), "
       f"daemon kept serving ({s['jobs_done']} jobs done)")
 EOF
-target/release/wasabi-client --socket "$SOCK3" drain 2>/dev/null
-for _ in $(seq 1 200); do kill -0 "$WASABID_PID" 2>/dev/null || break; sleep 0.05; done
-if kill -0 "$WASABID_PID" 2>/dev/null; then
-    echo "wasabid (governance) did not exit after drain"; exit 1
-fi
-wait "$WASABID_PID"
-WASABID_PID=""
+stop_wasabid "$SOCK3"
 echo "    governance: deadline e2e verified"
 
 # Cohort e2e: a `sweep_args` job expands daemon-side into one cohort and
@@ -477,10 +293,7 @@ SOCK4="$SMOKE_DIR/wasabid-sweep.sock"
 cat >"$SMOKE_DIR/sweep-args.json" <<'EOF'
 [[], [], []]
 EOF
-target/release/wasabid --socket "$SOCK4" --workers 2 2>"$SMOKE_DIR/wasabid-sweep.log" &
-WASABID_PID=$!
-for _ in $(seq 1 200); do [ -S "$SOCK4" ] && break; sleep 0.05; done
-[ -S "$SOCK4" ] || { cat "$SMOKE_DIR/wasabid-sweep.log"; echo "wasabid (sweep) did not come up"; exit 1; }
+start_wasabid "$SOCK4" "$SMOKE_DIR/wasabid-sweep.log"
 target/release/wasabi-client --socket "$SOCK4" submit "$SMOKE_DIR/gemm.wasm" \
     --analyses instruction_mix --sweep-args "$SMOKE_DIR/sweep-args.json" \
     >"$SMOKE_DIR/sweep.jsonl" 2>/dev/null
@@ -498,13 +311,7 @@ assert all(not f["reports"] for f in frames[:-1]), (
 assert frames[-1]["reports"], "the last frame carries the analysis reports"
 print(f"    sweep: 3 instance frames, reports on frame {frames[-1]['instance']} only")
 EOF
-target/release/wasabi-client --socket "$SOCK4" drain 2>/dev/null
-for _ in $(seq 1 200); do kill -0 "$WASABID_PID" 2>/dev/null || break; sleep 0.05; done
-if kill -0 "$WASABID_PID" 2>/dev/null; then
-    echo "wasabid (sweep) did not exit after drain"; exit 1
-fi
-wait "$WASABID_PID"
-WASABID_PID=""
+stop_wasabid "$SOCK4"
 echo "    cohort: sweep_args e2e verified"
 
 echo "ci.sh: all checks passed"

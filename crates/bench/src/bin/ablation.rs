@@ -1,4 +1,4 @@
-//! Ablation benchmarks for Wasabi's design choices (DESIGN.md §5):
+//! Ablation benchmarks for Wasabi's design choices:
 //!
 //! 1. **Temp-local reuse** (Table 3's "freshly generated locals" are reused
 //!    across instructions): code size and local count with reuse on/off.
@@ -8,12 +8,14 @@
 //!    eager alternative (details in the `monomorphization` binary).
 //!
 //! ```sh
-//! cargo run --release -p wasabi-bench --bin ablation
+//! cargo run --release -p wasabi-bench --bin ablation [-- --smoke]
 //! ```
+//!
+//! The run takes well under a second, so `--smoke` runs it unchanged.
 
 use wasabi::hooks::{Hook, HookSet};
 use wasabi::Instrumenter;
-use wasabi_bench::{binary_size, format_bytes};
+use wasabi_bench::{binary_size, format_bytes, Mode};
 use wasabi_workloads::synthetic::{synthetic_app, SyntheticConfig};
 use wasabi_workloads::{compile, polybench};
 
@@ -27,6 +29,7 @@ fn total_locals(module: &wasabi_wasm::Module) -> usize {
 }
 
 fn main() {
+    Mode::from_args();
     let subjects: Vec<(String, wasabi_wasm::Module)> = ["gemm", "cholesky", "adi"]
         .iter()
         .map(|name| {

@@ -11,25 +11,23 @@
 //!   globals, and fuel.
 //!
 //! ```sh
-//! cargo run --release -p wasabi-bench --bin cohort \
-//!     [input_count] [--out <path>] [--smoke]
+//! cargo run --release -p wasabi-bench --bin cohort [-- --smoke]
 //! ```
 //!
-//! Default output path: `BENCH_cohort.json`. `--smoke` shrinks the sweep
-//! for CI. The headline ratio `speedup_cohort_vs_fleet` (instances/sec
-//! over jobs/sec, both at 1 worker on a warm cache) is gated >= 1.5x in
-//! ci.sh: it measures exactly the per-job overhead the cohort design
-//! amortizes, not parallelism — `cores` is recorded for context.
+//! The headline ratio `speedup_cohort_vs_fleet` (instances/sec over
+//! jobs/sec, both at 1 worker on a warm cache) measures exactly the
+//! per-job overhead the cohort design amortizes, not parallelism —
+//! `cores` is recorded for context.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wasabi::cache::ModuleCache;
 use wasabi::fleet::Job;
 use wasabi::hooks::Analysis;
-use wasabi::Wasabi;
+use wasabi::{JsonValue, Wasabi};
 use wasabi_analyses::registry;
+use wasabi_bench::{cores, finish, median_of, ms, round3, Mode};
 use wasabi_wasm::builder::ModuleBuilder;
 use wasabi_wasm::instr::Val;
 use wasabi_wasm::module::Module;
@@ -75,15 +73,9 @@ fn sweep_module() -> Module {
     builder.finish()
 }
 
-struct Row {
-    config: &'static str,
-    wall: Duration,
-    per_sec: f64,
-}
-
 /// N jobs through a 1-worker fleet on a warm shared cache; returns the
-/// per-job results for the cross-check plus the measured row.
-fn run_fleet(module: &Arc<Module>, inputs: &[i32]) -> (Vec<Vec<Val>>, Row) {
+/// per-job results for the cross-check plus the measured wall time.
+fn run_fleet(module: &Arc<Module>, inputs: &[i32]) -> (Vec<Vec<Val>>, Duration) {
     let cache = ModuleCache::shared();
     // Prime the (module, hook set) entry, untimed — the measured batch
     // must contrast per-job overhead, not first-touch translation.
@@ -118,17 +110,12 @@ fn run_fleet(module: &Arc<Module>, inputs: &[i32]) -> (Vec<Vec<Val>>, Row) {
         .into_iter()
         .map(|j| j.result.expect("checked all_ok"))
         .collect();
-    let row = Row {
-        config: "fleet_warm_1worker",
-        wall,
-        per_sec: inputs.len() as f64 / wall.as_secs_f64(),
-    };
-    (results, row)
+    (results, wall)
 }
 
 /// The same sweep as one cohort; the wall time INCLUDES the one-time
 /// instrument+translate+plan build — that's the cost being amortized.
-fn run_cohort(module: &Module, inputs: &[i32]) -> (Vec<Vec<Val>>, Row) {
+fn run_cohort(module: &Module, inputs: &[i32]) -> (Vec<Vec<Val>>, Duration) {
     let args: Vec<Vec<Val>> = inputs.iter().map(|&i| vec![Val::I32(i)]).collect();
     let started = Instant::now();
     let mut analyses: Vec<Box<dyn Analysis>> = SWEEP_ANALYSES
@@ -146,46 +133,16 @@ fn run_cohort(module: &Module, inputs: &[i32]) -> (Vec<Vec<Val>>, Row) {
         .into_iter()
         .map(|o| o.result.expect("sweep member trapped"))
         .collect();
-    let row = Row {
-        config: "cohort",
-        wall,
-        per_sec: inputs.len() as f64 / wall.as_secs_f64(),
-    };
-    (results, row)
-}
-
-/// Median-by-wall of `rounds` runs.
-fn median<F: FnMut() -> (Vec<Vec<Val>>, Row)>(mut run: F, rounds: usize) -> (Vec<Vec<Val>>, Row) {
-    let mut measured: Vec<(Vec<Vec<Val>>, Row)> = (0..rounds).map(|_| run()).collect();
-    measured.sort_by(|a, b| a.1.wall.cmp(&b.1.wall));
-    measured.swap_remove(measured.len() / 2)
+    (results, wall)
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let out_path = raw
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| raw.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_cohort.json".to_string());
-    let default_inputs: usize = if smoke { 40 } else { 100 };
-    let rounds: usize = if smoke { 3 } else { 5 };
-    let input_count: usize = raw
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || raw[i - 1] != "--out"))
-        .map(|(_, a)| a)
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_inputs);
-
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let mode = Mode::from_args();
+    let input_count: i32 = mode.pick(100, 40);
+    let rounds = mode.pick(5, 3);
+    let cores = cores();
     let module = Arc::new(sweep_module());
-    let inputs: Vec<i32> = (0..input_count as i32).collect();
+    let inputs: Vec<i32> = (0..input_count).collect();
 
     println!(
         "Cohort sweep: 1 module x {input_count} inputs x {:?}, \
@@ -194,8 +151,14 @@ fn main() {
     );
     println!();
 
-    let (fleet_results, fleet_row) = median(|| run_fleet(&module, &inputs), rounds);
-    let (cohort_results, cohort_row) = median(|| run_cohort(&module, &inputs), rounds);
+    let (fleet_results, fleet_wall) = median_of(
+        (0..rounds).map(|_| run_fleet(&module, &inputs)),
+        |&(_, wall)| wall,
+    );
+    let (cohort_results, cohort_wall) = median_of(
+        (0..rounds).map(|_| run_cohort(&module, &inputs)),
+        |&(_, wall)| wall,
+    );
 
     // The two arms are differential witnesses of each other.
     assert_eq!(
@@ -208,42 +171,32 @@ fn main() {
         "config", "wall (ms)", "instances/sec"
     );
     println!("{:-<20} {:->10} {:->14}", "", "", "");
-    for row in [&fleet_row, &cohort_row] {
-        println!(
-            "{:<20} {:>10.1} {:>14.1}",
-            row.config,
-            row.wall.as_secs_f64() * 1000.0,
-            row.per_sec,
-        );
+    let per_sec = |wall: Duration| f64::from(input_count) / wall.as_secs_f64();
+    let rows = [("fleet_warm_1worker", fleet_wall), ("cohort", cohort_wall)];
+    for (config, wall) in rows {
+        println!("{config:<20} {:>10.1} {:>14.1}", ms(wall), per_sec(wall));
     }
-    let speedup = cohort_row.per_sec / fleet_row.per_sec;
+    let speedup = per_sec(cohort_wall) / per_sec(fleet_wall);
     println!();
     println!("cohort vs warm 1-worker fleet:  {speedup:.2}x");
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\"inputs\":{input_count},\"analyses\":[{}],\"cores\":{cores},\"rounds\":{rounds},\
-         \"speedup_cohort_vs_fleet\":{speedup:.3},\"rows\":[",
-        SWEEP_ANALYSES
-            .iter()
-            .map(|a| format!("\"{a}\""))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    for (i, row) in [&fleet_row, &cohort_row].into_iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "{{\"config\":\"{}\",\"wall_ms\":{:.3},\"per_sec\":{:.3}}}",
-            row.config,
-            row.wall.as_secs_f64() * 1000.0,
-            row.per_sec,
-        );
-    }
-    json.push_str("]}");
-    std::fs::write(&out_path, &json).expect("write cohort json");
-    println!("wrote {out_path}");
+    let row_docs = rows.map(|(config, wall)| {
+        JsonValue::object([
+            ("config", config.into()),
+            ("wall_ms", round3(ms(wall))),
+            ("per_sec", round3(per_sec(wall))),
+        ])
+    });
+    let doc = JsonValue::object([
+        ("inputs", input_count.into()),
+        (
+            "analyses",
+            JsonValue::array(SWEEP_ANALYSES.iter().map(|&a| a.into())),
+        ),
+        ("cores", cores.into()),
+        ("rounds", rounds.into()),
+        ("speedup_cohort_vs_fleet", round3(speedup)),
+        ("rows", JsonValue::array(row_docs)),
+    ]);
+    finish(mode, "cohort", &doc);
 }

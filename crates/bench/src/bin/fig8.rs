@@ -4,12 +4,14 @@
 //! unreal-like}, plus the `all` row (§4.5 text: between 495% and 743%).
 //!
 //! ```sh
-//! cargo run --release -p wasabi-bench --bin fig8 [polybench_n] [app_kilobytes]
+//! cargo run --release -p wasabi-bench --bin fig8 [-- --smoke]
 //! ```
+//!
+//! `--smoke` shrinks the kernels and the app-like subjects for CI.
 
 use wasabi::hooks::HookSet;
 use wasabi::instrument;
-use wasabi_bench::{binary_size, subjects, Subject, FIGURE_HOOK_GROUPS};
+use wasabi_bench::{binary_size, subjects, Mode, Subject, FIGURE_HOOK_GROUPS};
 
 fn size_increase_percent(subject: &Subject, hooks: HookSet) -> f64 {
     let original = binary_size(&subject.module);
@@ -19,9 +21,9 @@ fn size_increase_percent(subject: &Subject, hooks: HookSet) -> f64 {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let polybench_n: u32 = args.next().and_then(|a| a.parse().ok()).unwrap_or(16);
-    let app_kb: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1000);
+    let mode = Mode::from_args();
+    let polybench_n: u32 = mode.pick(16, 6);
+    let app_kb: usize = mode.pick(1000, 100);
 
     let subjects = subjects(polybench_n, app_kb * 1000);
     let polybench: Vec<&Subject> = subjects.iter().filter(|s| s.is_polybench).collect();

@@ -9,57 +9,29 @@
 //! - executed VM instructions (deterministic, machine-independent).
 //!
 //! ```sh
-//! cargo run --release -p wasabi-bench --bin fig9 [polybench_n] [kernels_per_group]
-//! cargo run --release -p wasabi-bench --bin fig9 -- --smoke   # CI smoke mode
+//! cargo run --release -p wasabi-bench --bin fig9 [-- --smoke]
 //! ```
 //!
 //! `--smoke` shrinks the workload (2 kernels at n=6, single repeats) so CI
 //! can exercise the full hook-group × subject matrix in seconds.
 
 use wasabi::hooks::HookSet;
-use wasabi_bench::{
-    geomean, run_instrumented_amortized, run_instrumented_repeated, run_original_amortized,
-    run_original_repeated, FIGURE_HOOK_GROUPS,
-};
+use wasabi::AnalysisSession;
+use wasabi_bench::{best_of, geomean, kernels, run_flat, run_session, Mode, FIGURE_HOOK_GROUPS};
+use wasabi_vm::TranslatedModule;
 use wasabi_workloads::synthetic::{synthetic_app, SyntheticConfig};
-use wasabi_workloads::{compile, polybench};
-
-/// Repeated runs per kernel measurement (minimum wall time is reported).
-const REPEATS: usize = 3;
-/// Consecutive invocations of the short-running app subject (totals are
-/// compared, so timer resolution stops mattering).
-const APP_INVOCATIONS: usize = 300;
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let mut args = raw.iter().filter(|a| !a.starts_with("--"));
-    let (default_n, default_kernels, repeats, app_invocations) = if smoke {
-        (6, 2, 1, 30)
-    } else {
-        (12, 10, REPEATS, APP_INVOCATIONS)
-    };
-    let polybench_n: u32 = args
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_n);
-    let kernel_count: usize = args
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_kernels);
-
-    // A representative kernel subset (full 30 × 22 hook-sets × VM runs is
-    // hours of interpreter time; pass 30 to use all kernels).
-    let kernels: Vec<(String, wasabi_wasm::Module)> = polybench::NAMES
-        .iter()
-        .take(kernel_count)
-        .map(|name| {
-            (
-                name.to_string(),
-                compile(&polybench::by_name(name, polybench_n).expect("known")),
-            )
-        })
-        .collect();
+    let mode = Mode::from_args();
+    let polybench_n: u32 = mode.pick(12, 6);
+    // Repeated runs per kernel measurement (minimum wall time is
+    // reported), and consecutive invocations of the short-running app
+    // subject (totals are compared, so timer resolution stops mattering).
+    let repeats = mode.pick(3, 1);
+    let app_invocations = mode.pick(300, 30);
+    // A representative kernel subset: all 30 kernels × 22 hook sets × VM
+    // runs is hours of interpreter time.
+    let kernels = kernels(polybench_n, mode.pick(10, 2));
     // App subject: moderate call fan-out (the call tree grows
     // polynomially in the function count with degree ≈ calls per body, so
     // keep the statement count small) — wall time is amortized over
@@ -87,9 +59,19 @@ fn main() {
 
     let kernel_base: Vec<_> = kernels
         .iter()
-        .map(|(_, module)| run_original_repeated(module, "main", repeats))
+        .map(|(_, module)| {
+            let translated = TranslatedModule::new(module.clone()).expect("validates");
+            best_of(
+                (0..repeats).map(|_| run_flat(&translated, "main", 1)),
+                |run| run.wall,
+            )
+        })
         .collect();
-    let app_base = run_original_amortized(&app, "main", app_invocations);
+    let app_base = run_flat(
+        &TranslatedModule::new(app.clone()).expect("validates"),
+        "main",
+        app_invocations,
+    );
 
     let mut rows: Vec<(&str, HookSet)> = FIGURE_HOOK_GROUPS
         .iter()
@@ -101,11 +83,16 @@ fn main() {
         let mut wall_ratios = Vec::new();
         let mut instr_ratios = Vec::new();
         for ((_, module), base) in kernels.iter().zip(&kernel_base) {
-            let run = run_instrumented_repeated(module, hooks, "main", repeats);
+            let session = AnalysisSession::new(module, hooks).expect("instruments");
+            let run = best_of(
+                (0..repeats).map(|_| run_session(&session, "main", 1)),
+                |run| run.wall,
+            );
             wall_ratios.push(run.wall.as_secs_f64() / base.wall.as_secs_f64());
             instr_ratios.push(run.vm_instrs as f64 / base.vm_instrs as f64);
         }
-        let app_run = run_instrumented_amortized(&app, hooks, "main", app_invocations);
+        let app_session = AnalysisSession::new(&app, hooks).expect("instruments");
+        let app_run = run_session(&app_session, "main", app_invocations);
         println!(
             "{name:<14} {:>15.2}x {:>15.2}x {:>13.2}x {:>13.2}x",
             geomean(wall_ratios.iter().copied()),

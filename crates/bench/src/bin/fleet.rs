@@ -5,30 +5,28 @@
 //! recorded as JSON.
 //!
 //! ```sh
-//! cargo run --release -p wasabi-bench --bin fleet \
-//!     [polybench_n] [kernel_count] [--out <path>] [--smoke]
+//! cargo run --release -p wasabi-bench --bin fleet [-- --smoke]
 //! ```
 //!
-//! Default output path: `BENCH_fleet.json` in the current directory.
-//! `--smoke` shrinks the workload for CI. The headline ratios:
+//! The headline ratios:
 //!
 //! - **amortization** (warm vs. cold at 1 worker): what the shared
 //!   translated-module cache saves once every distinct (module, hook set)
 //!   has been validated + instrumented + translated exactly once.
 //! - **scaling** (1 worker vs. all cores, both warm): what the
 //!   work-stealing worker fleet adds on top. On a single-core machine
-//!   this is ~1x by construction — the JSON records `cores` so the gate
-//!   in `ci.sh` can judge the numbers in context.
+//!   this is ~1x by construction — the JSON records `cores` so the numbers
+//!   can be judged in context.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
 use wasabi::cache::ModuleCache;
 use wasabi::fleet::Job;
+use wasabi::JsonValue;
 use wasabi_analyses::registry;
+use wasabi_bench::{cores, finish, kernels, median_of, ms, round3, Mode};
 use wasabi_wasm::module::Module;
-use wasabi_workloads::{compile, polybench};
 
 /// The analyses each job runs. Light hook sets keep per-job execution
 /// close to uninstrumented speed, so the cold-vs-warm contrast measures
@@ -58,23 +56,6 @@ fn job_list(kernels: &[(String, Arc<Module>)], repeats: usize) -> Vec<Job> {
         }
     }
     jobs
-}
-
-/// Run the job list through a fleet `rounds` times (fresh cache each
-/// round) and keep the median round by wall time.
-fn run_config(
-    config: &'static str,
-    kernels: &[(String, Arc<Module>)],
-    repeats: usize,
-    workers: usize,
-    warm: bool,
-    rounds: usize,
-) -> Row {
-    let mut measured: Vec<Row> = (0..rounds)
-        .map(|_| run_once(config, kernels, repeats, workers, warm))
-        .collect();
-    measured.sort_by(|a, b| a.wall.cmp(&b.wall));
-    measured.swap_remove(measured.len() / 2)
 }
 
 /// One measured batch.
@@ -118,52 +99,25 @@ fn run_once(
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let out_path = raw
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| raw.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_fleet.json".to_string());
-    let mut positional = raw
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || raw[i - 1] != "--out"))
-        .map(|(_, a)| a);
+    let mode = Mode::from_args();
     // Small n on purpose: per-job execution stays cheap, so the numbers
     // contrast the cache + scheduling, not the kernels.
-    let default_n: u32 = if smoke { 4 } else { 6 };
+    let polybench_n: u32 = mode.pick(6, 4);
     // Full mode: every PolyBench kernel exactly once per batch, so a cold
     // batch pays one instrument+translate per job and a warm batch pays
     // none — the purest cold-vs-warm contrast. Smoke keeps a repeat so
     // the intra-batch cache path is exercised too.
-    let default_kernels: usize = if smoke { 2 } else { polybench::NAMES.len() };
-    let repeats: usize = if smoke { 2 } else { 1 };
-    let rounds: usize = if smoke { 1 } else { 3 };
-    let polybench_n: u32 = positional
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_n);
-    let kernel_count: usize = positional
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_kernels);
-
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let kernel_count = mode.pick(wasabi_workloads::polybench::NAMES.len(), 2);
+    let repeats = mode.pick(1, 2);
+    let rounds = mode.pick(3, 1);
+    let cores = cores();
     // Even on one core, run the "all cores" configs with >= 2 workers so
     // the steal path is actually exercised.
     let max_workers = cores.max(2);
 
-    let kernels: Vec<(String, Arc<Module>)> = polybench::NAMES
-        .iter()
-        .take(kernel_count)
-        .map(|name| {
-            let program = polybench::by_name(name, polybench_n).expect("known kernel");
-            (format!("{name}.wasm"), Arc::new(compile(&program)))
-        })
+    let kernels: Vec<(String, Arc<Module>)> = kernels(polybench_n, kernel_count)
+        .into_iter()
+        .map(|(name, module)| (format!("{name}.wasm"), Arc::new(module)))
         .collect();
 
     println!(
@@ -183,33 +137,27 @@ fn main() {
         "", "", "", "", "", "", "", ""
     );
 
+    // Each configuration is the median of `rounds` batches, each on a
+    // fresh cache.
     let rows = [
-        run_config("cold_1worker", &kernels, repeats, 1, false, rounds),
-        run_config("warm_1worker", &kernels, repeats, 1, true, rounds),
-        run_config(
-            "cold_allcores",
-            &kernels,
-            repeats,
-            max_workers,
-            false,
-            rounds,
-        ),
-        run_config(
-            "warm_allcores",
-            &kernels,
-            repeats,
-            max_workers,
-            true,
-            rounds,
-        ),
-    ];
+        ("cold_1worker", 1, false),
+        ("warm_1worker", 1, true),
+        ("cold_allcores", max_workers, false),
+        ("warm_allcores", max_workers, true),
+    ]
+    .map(|(config, workers, warm)| {
+        median_of(
+            (0..rounds).map(|_| run_once(config, &kernels, repeats, workers, warm)),
+            |row| row.wall,
+        )
+    });
     for row in &rows {
         println!(
             "{:<16} {:>8} {:>6} {:>10.1} {:>10.1} {:>6} {:>7} {:>7}",
             row.config,
             row.workers,
             row.warm,
-            row.wall.as_secs_f64() * 1000.0,
+            ms(row.wall),
             row.jobs_per_sec,
             row.cache_hits,
             row.cache_misses,
@@ -217,17 +165,10 @@ fn main() {
         );
     }
 
-    let by_config = |config: &str| {
-        rows.iter()
-            .find(|r| r.config == config)
-            .expect("config measured")
-    };
-    let amortization =
-        by_config("warm_1worker").jobs_per_sec / by_config("cold_1worker").jobs_per_sec;
-    let scaling_warm =
-        by_config("warm_allcores").jobs_per_sec / by_config("warm_1worker").jobs_per_sec;
-    let warm_allcores_vs_cold_1worker =
-        by_config("warm_allcores").jobs_per_sec / by_config("cold_1worker").jobs_per_sec;
+    let [cold_1worker, warm_1worker, _, warm_allcores] = &rows;
+    let amortization = warm_1worker.jobs_per_sec / cold_1worker.jobs_per_sec;
+    let scaling_warm = warm_allcores.jobs_per_sec / warm_1worker.jobs_per_sec;
+    let warm_allcores_vs_cold_1worker = warm_allcores.jobs_per_sec / cold_1worker.jobs_per_sec;
     println!();
     println!("cache amortization (warm vs cold, 1 worker):   {amortization:.2}x");
     println!("worker scaling (1 -> {max_workers} workers, warm):        {scaling_warm:.2}x");
@@ -236,44 +177,37 @@ fn main() {
         println!("note: single-core machine — worker scaling cannot exceed ~1x here");
     }
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\"polybench_n\":{polybench_n},\"kernels\":{},\"repeats\":{repeats},\
-         \"jobs\":{},\"analyses\":[{}],\"cores\":{cores},\"max_workers\":{max_workers},\
-         \"amortization_warm_vs_cold_1worker\":{amortization:.3},\
-         \"scaling_1worker_to_allcores_warm\":{scaling_warm:.3},\
-         \"warm_allcores_vs_cold_1worker\":{warm_allcores_vs_cold_1worker:.3},\
-         \"rows\":[",
-        kernels.len(),
-        kernels.len() * repeats,
-        JOB_ANALYSES
-            .iter()
-            .map(|a| format!("\"{a}\""))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "{{\"config\":\"{}\",\"workers\":{},\"warm\":{},\"wall_ms\":{:.3},\
-             \"jobs\":{},\"jobs_per_sec\":{:.3},\"cache_hits\":{},\"cache_misses\":{},\
-             \"stolen_jobs\":{}}}",
-            row.config,
-            row.workers,
-            row.warm,
-            row.wall.as_secs_f64() * 1000.0,
-            row.jobs,
-            row.jobs_per_sec,
-            row.cache_hits,
-            row.cache_misses,
-            row.stolen,
-        );
-    }
-    json.push_str("]}");
-    std::fs::write(&out_path, &json).expect("write fleet json");
-    println!("wrote {out_path}");
+    let row_docs = rows.iter().map(|row| {
+        JsonValue::object([
+            ("config", row.config.into()),
+            ("workers", row.workers.into()),
+            ("warm", row.warm.into()),
+            ("wall_ms", round3(ms(row.wall))),
+            ("jobs", row.jobs.into()),
+            ("jobs_per_sec", round3(row.jobs_per_sec)),
+            ("cache_hits", row.cache_hits.into()),
+            ("cache_misses", row.cache_misses.into()),
+            ("stolen_jobs", row.stolen.into()),
+        ])
+    });
+    let doc = JsonValue::object([
+        ("polybench_n", polybench_n.into()),
+        ("kernels", kernels.len().into()),
+        ("repeats", repeats.into()),
+        ("jobs", (kernels.len() * repeats).into()),
+        (
+            "analyses",
+            JsonValue::array(JOB_ANALYSES.iter().map(|&a| a.into())),
+        ),
+        ("cores", cores.into()),
+        ("max_workers", max_workers.into()),
+        ("amortization_warm_vs_cold_1worker", round3(amortization)),
+        ("scaling_1worker_to_allcores_warm", round3(scaling_warm)),
+        (
+            "warm_allcores_vs_cold_1worker",
+            round3(warm_allcores_vs_cold_1worker),
+        ),
+        ("rows", JsonValue::array(row_docs)),
+    ]);
+    finish(mode, "fleet", &doc);
 }

@@ -8,18 +8,20 @@
 //! variants, and even a 10-argument heuristic limit 4^10 = 1,048,576.
 //!
 //! ```sh
-//! cargo run --release -p wasabi-bench --bin monomorphization [polybench_n] [app_kilobytes]
+//! cargo run --release -p wasabi-bench --bin monomorphization [-- --smoke]
 //! ```
+//!
+//! `--smoke` shrinks the kernels and the app-like subjects for CI.
 
 use wasabi::hookmap::eager_call_hook_count;
 use wasabi::hooks::HookSet;
 use wasabi::instrument;
-use wasabi_bench::subjects;
+use wasabi_bench::{subjects, Mode};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let polybench_n: u32 = args.next().and_then(|a| a.parse().ok()).unwrap_or(16);
-    let app_kb: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1000);
+    let mode = Mode::from_args();
+    let polybench_n: u32 = mode.pick(16, 6);
+    let app_kb: usize = mode.pick(1000, 100);
 
     println!("On-demand monomorphization (paper §4.5): low-level hooks actually");
     println!("generated under full instrumentation");

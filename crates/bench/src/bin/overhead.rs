@@ -15,66 +15,59 @@
 //!   event construction (`AllHooksNop` subscribes to everything).
 //!
 //! The recorded `improvement` (generic wall / intrinsic wall) and
-//! `direct_vs_rewrite` (direct wall / intrinsic wall, gated ≤ 0.75) are
-//! the acceptance numbers; `ci.sh` also gates on the recorded all-hooks
-//! overhead not regressing past the committed baseline × 1.1.
+//! `direct_vs_rewrite` (direct wall / intrinsic wall) are gated in
+//! [`wasabi_bench::GATES`]. A smoke run also fails if its all-hooks
+//! overhead geomean exceeds the committed one on the same kernels by
+//! more than 1.25x.
 //!
 //! ```sh
-//! cargo run --release -p wasabi-bench --bin overhead \
-//!     [polybench_n] [kernel_count] [--out <path>] [--smoke]
+//! cargo run --release -p wasabi-bench --bin overhead [-- --smoke]
 //! ```
 //!
-//! Default output path: `BENCH_overhead.json`. `--smoke` shrinks the run
-//! (3 kernels, all-hooks row only) while keeping `polybench_n` at the full
-//! value so the recorded overhead ratio stays comparable to the committed
-//! baseline.
+//! `--smoke` shrinks the run (3 kernels, all-hooks row only) while
+//! keeping `polybench_n` at the full value so the recorded overhead ratio
+//! stays comparable to the committed baseline.
 
-use std::fmt::Write as _;
+use std::path::Path;
 
 use wasabi::hooks::HookSet;
+use wasabi::{AnalysisSession, JsonValue};
 use wasabi_bench::{
-    geomean, run_direct_amortized, run_flat_amortized, run_instrumented_amortized,
-    run_instrumented_generic_amortized, FIGURE_HOOK_GROUPS,
+    baseline_file, best_of, enforce, finish, geomean, kernels, load_baseline, ms, round3, run_flat,
+    run_generic, run_session, Mode, RunMeasurement, FIGURE_HOOK_GROUPS,
 };
 use wasabi_vm::TranslatedModule;
-use wasabi_workloads::{compile, polybench};
+
+/// Every gated measurement is best of this many runs: the per-kernel wall
+/// times are milliseconds-scale, so a single sample carries enough
+/// scheduler and cache-state noise to trip a gate.
+const REPEATS: usize = 5;
+
+/// The uninstrumented base is the denominator of every gated ratio and
+/// one base invocation is sub-millisecond, so it runs this many times
+/// more invocations than the instrumented arms and the ratios divide by
+/// a per-invocation base time; otherwise base timer noise dominates the
+/// recorded overheads.
+const BASE_SCALE: usize = 8;
+
+/// Smoke runs read 10-20% above a back-to-back full run of the same
+/// binary on the recording host (full-run subset geomean 10.9x, three
+/// smoke runs 12.0/12.2/13.2x with no code change), so the tolerance is
+/// looser than the ratio gates while still catching real regressions.
+const SMOKE_TOLERANCE: f64 = 1.25;
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let out_path = raw
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| raw.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_overhead.json".to_string());
-    let mut positional = raw
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || raw[i - 1] != "--out"))
-        .map(|(_, a)| a);
+    let mode = Mode::from_args();
     // Keep n and the invocation count at the full values even in smoke
-    // mode: the overhead is a ratio, and the CI gate compares it per
+    // mode: the overhead is a ratio, and the smoke gate compares it per
     // kernel against the committed baseline — only the kernel count and
     // the per-hook-group sweep shrink.
-    let default_kernels: usize = if smoke { 3 } else { 8 };
+    let polybench_n: u32 = 12;
     let invocations: usize = 4;
-    let polybench_n: u32 = positional.next().and_then(|a| a.parse().ok()).unwrap_or(12);
-    let kernel_count: usize = positional
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_kernels);
-
-    let kernels: Vec<(&str, wasabi_wasm::Module)> = polybench::NAMES
-        .iter()
-        .take(kernel_count)
-        .map(|name| {
-            (
-                *name,
-                compile(&polybench::by_name(name, polybench_n).expect("known kernel")),
-            )
-        })
-        .collect();
+    let kernels = kernels(polybench_n, mode.pick(8, 3));
+    let best = |run: &mut dyn FnMut() -> RunMeasurement| {
+        best_of((0..REPEATS).map(|_| run()), |run| run.wall)
+    };
 
     println!(
         "Overhead of instrumented execution vs. uninstrumented flat \
@@ -83,49 +76,22 @@ fn main() {
     );
     println!();
 
-    // Every gated measurement is best-of-REPEATS (minimum wall time):
-    // the per-kernel wall times are milliseconds-scale, so a single
-    // sample carries enough scheduler/cache-state noise to trip the CI
-    // regression gate; the minimum is the stable estimator of the
-    // undisturbed run (same policy as `run_original_repeated`).
-    const REPEATS: usize = 5;
-    fn best_of(
-        repeats: usize,
-        mut run: impl FnMut() -> wasabi_bench::RunMeasurement,
-    ) -> wasabi_bench::RunMeasurement {
-        (0..repeats.max(1))
-            .map(|_| run())
-            .min_by(|a, b| a.wall.cmp(&b.wall))
-            .expect("at least one run")
-    }
-
-    // Uninstrumented flat baseline, translated once per kernel. The base
-    // is the denominator of every gated ratio and an uninstrumented
-    // invocation is sub-millisecond, so it runs BASE_SCALE x more
-    // invocations than the instrumented arms and the ratios divide by a
-    // per-invocation base time — otherwise base timer noise dominates the
-    // recorded overheads.
-    const BASE_SCALE: usize = 8;
     let bases: Vec<_> = kernels
         .iter()
         .map(|(_, module)| {
             let translated = TranslatedModule::new(module.clone()).expect("validates");
-            best_of(REPEATS, || {
-                run_flat_amortized(&translated, "main", invocations * BASE_SCALE)
-            })
+            best(&mut || run_flat(&translated, "main", invocations * BASE_SCALE))
         })
         .collect();
     // Wall seconds and executed instructions of `invocations` base calls
     // (the unit the instrumented arms are measured in).
-    let base_wall =
-        |base: &wasabi_bench::RunMeasurement| base.wall.as_secs_f64() / BASE_SCALE as f64;
-    let base_instrs =
-        |base: &wasabi_bench::RunMeasurement| base.vm_instrs as f64 / BASE_SCALE as f64;
+    let base_wall = |base: &RunMeasurement| base.wall.as_secs_f64() / BASE_SCALE as f64;
+    let base_instrs = |base: &RunMeasurement| base.vm_instrs as f64 / BASE_SCALE as f64;
 
-    // Per-hook-group overhead on the intrinsic path (skipped in smoke
-    // mode; the all-hooks row is the gated artifact).
+    // Per-hook-group overhead on the intrinsic path (full mode only; the
+    // all-hooks row is the gated artifact).
     let mut group_rows = Vec::new();
-    if !smoke {
+    if mode == Mode::Full {
         println!("{:<14} {:>12} {:>12}", "hook", "wall", "instrs");
         println!("{:-<14} {:->12} {:->12}", "", "", "");
         for (name, hooks) in FIGURE_HOOK_GROUPS {
@@ -133,7 +99,8 @@ fn main() {
             let mut wall_ratios = Vec::new();
             let mut instr_ratios = Vec::new();
             for ((_, module), base) in kernels.iter().zip(&bases) {
-                let run = run_instrumented_amortized(module, set, "main", invocations);
+                let session = AnalysisSession::new(module, set).expect("instruments");
+                let run = run_session(&session, "main", invocations);
                 assert_eq!(run.host_calls_slow, 0, "{name}: intrinsic path only");
                 wall_ratios.push(run.wall.as_secs_f64() / base_wall(base));
                 instr_ratios.push(run.vm_instrs as f64 / base_instrs(base));
@@ -141,7 +108,11 @@ fn main() {
             let wall = geomean(wall_ratios.iter().copied());
             let instrs = geomean(instr_ratios.iter().copied());
             println!("{name:<14} {wall:>11.2}x {instrs:>11.2}x");
-            group_rows.push((name, wall, instrs));
+            group_rows.push(JsonValue::object([
+                ("hook", name.into()),
+                ("wall_overhead", round3(wall)),
+                ("instr_overhead", round3(instrs)),
+            ]));
         }
         println!();
     }
@@ -157,8 +128,11 @@ fn main() {
     let mut instr_ratios = Vec::new();
     let mut kernel_rows = Vec::new();
     for ((name, module), base) in kernels.iter().zip(&bases) {
-        let intrinsic = best_of(REPEATS, || {
-            run_instrumented_amortized(module, HookSet::all(), "main", invocations)
+        // Each repeat instruments afresh, so the minimum is taken over
+        // independently built sessions, not over one session's layout.
+        let intrinsic = best(&mut || {
+            let session = AnalysisSession::new(module, HookSet::all()).expect("instruments");
+            run_session(&session, "main", invocations)
         });
         // The benches must be able to assert the intrinsic path actually
         // fired — that is the artifact being measured.
@@ -170,9 +144,7 @@ fn main() {
             intrinsic.host_calls_slow, 0,
             "{name}: unexpected slow calls"
         );
-        let generic = best_of(REPEATS, || {
-            run_instrumented_generic_amortized(module, HookSet::all(), "main", invocations)
-        });
+        let generic = best(&mut || run_generic(module, HookSet::all(), "main", invocations));
         assert_eq!(generic.host_calls_fast, 0, "{name}: generic path leaked");
         assert_eq!(
             generic.host_calls_slow, intrinsic.host_calls_fast,
@@ -182,8 +154,9 @@ fn main() {
             generic.vm_instrs, intrinsic.vm_instrs,
             "{name}: instr counts"
         );
-        let direct = best_of(REPEATS, || {
-            run_direct_amortized(module, HookSet::all(), "main", invocations)
+        let direct = best(&mut || {
+            let session = AnalysisSession::direct(module, HookSet::all()).expect("instruments");
+            run_session(&session, "main", invocations)
         });
         // Direct-emit must inject the same hook sites as the rewrite and,
         // under NoAnalysis, mask every one of them at instantiation.
@@ -196,20 +169,21 @@ fn main() {
             "{name}: direct-emit hook-site counts"
         );
         assert_eq!(direct.host_calls_slow, 0, "{name}: direct-emit slow calls");
+        let overhead = |run: &RunMeasurement| run.wall.as_secs_f64() / base_wall(base);
         base_ms += base_wall(base) * 1000.0;
-        direct_ms += direct.wall.as_secs_f64() * 1000.0;
-        intrinsic_ms += intrinsic.wall.as_secs_f64() * 1000.0;
-        generic_ms += generic.wall.as_secs_f64() * 1000.0;
-        direct_wall_ratios.push(direct.wall.as_secs_f64() / base_wall(base));
-        intrinsic_wall_ratios.push(intrinsic.wall.as_secs_f64() / base_wall(base));
-        generic_wall_ratios.push(generic.wall.as_secs_f64() / base_wall(base));
+        direct_ms += ms(direct.wall);
+        intrinsic_ms += ms(intrinsic.wall);
+        generic_ms += ms(generic.wall);
+        direct_wall_ratios.push(overhead(&direct));
+        intrinsic_wall_ratios.push(overhead(&intrinsic));
+        generic_wall_ratios.push(overhead(&generic));
         instr_ratios.push(intrinsic.vm_instrs as f64 / base_instrs(base));
-        kernel_rows.push((
-            *name,
-            direct.wall.as_secs_f64() / base_wall(base),
-            intrinsic.wall.as_secs_f64() / base_wall(base),
-            generic.wall.as_secs_f64() / base_wall(base),
-        ));
+        kernel_rows.push(JsonValue::object([
+            ("name", (*name).into()),
+            ("overhead_direct", round3(overhead(&direct))),
+            ("overhead_intrinsic", round3(overhead(&intrinsic))),
+            ("overhead_generic", round3(overhead(&generic))),
+        ]));
     }
     let overhead_direct = geomean(direct_wall_ratios.iter().copied());
     let overhead_intrinsic = geomean(intrinsic_wall_ratios.iter().copied());
@@ -231,48 +205,69 @@ fn main() {
          -> improvement {improvement:.2}x, direct/rewrite {direct_vs_rewrite:.2}x"
     );
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\"polybench_n\":{polybench_n},\"kernel_count\":{},\
-         \"invocations\":{invocations},\"kernels\":[",
-        kernels.len()
-    );
-    for (i, (name, direct, intrinsic, generic)) in kernel_rows.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "{{\"name\":\"{name}\",\"overhead_direct\":{direct:.3},\
-             \"overhead_intrinsic\":{intrinsic:.3},\
-             \"overhead_generic\":{generic:.3}}}"
-        );
+    let doc = JsonValue::object([
+        ("polybench_n", polybench_n.into()),
+        ("kernel_count", kernels.len().into()),
+        ("invocations", invocations.into()),
+        ("kernels", JsonValue::Array(kernel_rows)),
+        ("hook_groups", JsonValue::Array(group_rows)),
+        (
+            "all",
+            JsonValue::object([
+                ("base_ms", round3(base_ms)),
+                ("direct_ms", round3(direct_ms)),
+                ("intrinsic_ms", round3(intrinsic_ms)),
+                ("generic_ms", round3(generic_ms)),
+                ("overhead_direct", round3(overhead_direct)),
+                ("overhead_intrinsic", round3(overhead_intrinsic)),
+                ("overhead_generic", round3(overhead_generic)),
+                ("overhead_instrs", round3(overhead_instrs)),
+                ("improvement", round3(improvement)),
+                ("direct_vs_rewrite", round3(direct_vs_rewrite)),
+            ]),
+        ),
+    ]);
+    if mode == Mode::Smoke {
+        enforce([same_kernel_overhead(&doc)]);
     }
-    json.push_str("],\"hook_groups\":[");
-    for (i, (name, wall, instrs)) in group_rows.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "{{\"hook\":\"{name}\",\"wall_overhead\":{wall:.3},\
-             \"instr_overhead\":{instrs:.3}}}"
-        );
+    finish(mode, "overhead", &doc);
+}
+
+/// The smoke run's all-hooks intrinsic overhead geomean against the
+/// committed baseline's geomean over the **same** kernels (the smoke
+/// subset's geomean differs from the full suite's).
+fn same_kernel_overhead(smoke: &JsonValue) -> Result<String, String> {
+    let committed = load_baseline(Path::new(&baseline_file("overhead")))?;
+    let kernels = |doc: &JsonValue| {
+        doc.get("kernels")
+            .and_then(JsonValue::as_array)
+            .unwrap_or_default()
+            .to_vec()
+    };
+    let overhead =
+        |kernel: &JsonValue| kernel.get("overhead_intrinsic").and_then(JsonValue::as_f64);
+    let mut measured = Vec::new();
+    let mut reference = Vec::new();
+    for kernel in kernels(smoke) {
+        let name = kernel.get("name");
+        let base = kernels(&committed)
+            .iter()
+            .find(|committed| committed.get("name") == name)
+            .and_then(overhead)
+            .ok_or_else(|| {
+                format!("overhead: kernel {name:?} missing from the committed baseline")
+            })?;
+        measured.push(overhead(&kernel).expect("this run records every kernel"));
+        reference.push(base);
     }
-    let _ = write!(
-        json,
-        "],\"all\":{{\"base_ms\":{base_ms:.3},\
-         \"direct_ms\":{direct_ms:.3},\
-         \"intrinsic_ms\":{intrinsic_ms:.3},\
-         \"generic_ms\":{generic_ms:.3},\
-         \"overhead_direct\":{overhead_direct:.3},\
-         \"overhead_intrinsic\":{overhead_intrinsic:.3},\
-         \"overhead_generic\":{overhead_generic:.3},\
-         \"overhead_instrs\":{overhead_instrs:.3},\
-         \"improvement\":{improvement:.3},\
-         \"direct_vs_rewrite\":{direct_vs_rewrite:.3}}}}}"
+    let (smoke_geo, base_geo) = (geomean(measured), geomean(reference));
+    let line = format!(
+        "overhead same-kernel all-hooks overhead {smoke_geo:.2}x \
+         (<= committed {base_geo:.2}x * {SMOKE_TOLERANCE})"
     );
-    std::fs::write(&out_path, &json).expect("write overhead json");
-    println!("wrote {out_path}");
+    if smoke_geo <= base_geo * SMOKE_TOLERANCE {
+        Ok(line)
+    } else {
+        Err(line)
+    }
 }

@@ -5,36 +5,26 @@
 //! prepared sessions back from the on-disk cache tier, no rebuild).
 //!
 //! ```sh
-//! cargo run --release -p wasabi-bench --bin parallel \
-//!     [polybench_n] [kernel_count] [--out <path>] [--smoke]
+//! cargo run --release -p wasabi-bench --bin parallel [-- --smoke]
 //! ```
 //!
-//! Default output path: `BENCH_parallel.json` in the current directory.
-//! `--smoke` shrinks the workload for CI. The headline ratios:
+//! The headline ratios:
 //!
 //! - **speedup_max_threads** (threads(1) vs threads(max), same builds):
 //!   what function-granular fan-out buys — the paper's Table 5 shape.
 //!   On a single-core machine this is ~1x by construction; the JSON
-//!   records `cores` so the gate in `ci.sh` can judge it in context.
+//!   records `cores` so the thread-scaling gate can judge it in context.
 //! - **disk_warm_vs_cold**: what the persistent session cache saves a
 //!   fresh process — decoding prepared code from disk instead of
 //!   validating + instrumenting + translating from scratch.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use wasabi::cache::{content_key, ModuleCache};
 use wasabi::hooks::HookSet;
-use wasabi::{DiskCache, Instrumenter};
+use wasabi::{DiskCache, Instrumenter, JsonValue};
+use wasabi_bench::{cores, finish, kernels, median_of, ms, round3, Mode};
 use wasabi_wasm::module::Module;
-use wasabi_workloads::{compile, polybench};
-
-struct ThreadRow {
-    threads: usize,
-    wall: Duration,
-    speedup: f64,
-}
 
 struct DiskRow {
     config: &'static str,
@@ -57,15 +47,6 @@ fn build_pass(kernels: &[Module], repeats: usize, threads: usize) -> Duration {
         }
     }
     start.elapsed()
-}
-
-/// Median-of-`rounds` wall time for one thread count.
-fn measure_threads(kernels: &[Module], repeats: usize, threads: usize, rounds: usize) -> Duration {
-    let mut walls: Vec<Duration> = (0..rounds)
-        .map(|_| build_pass(kernels, repeats, threads))
-        .collect();
-    walls.sort();
-    walls[walls.len() / 2]
 }
 
 /// One process "start": a fresh cache over `dir` prepares a session for
@@ -93,37 +74,14 @@ fn start_process(
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let out_path = raw
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| raw.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_parallel.json".to_string());
-    let mut positional = raw
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || raw[i - 1] != "--out"))
-        .map(|(_, a)| a);
-    let default_n: u32 = if smoke { 4 } else { 6 };
-    let default_kernels: usize = if smoke { 2 } else { polybench::NAMES.len() };
+    let mode = Mode::from_args();
+    let polybench_n: u32 = mode.pick(6, 4);
+    let kernel_count = mode.pick(wasabi_workloads::polybench::NAMES.len(), 2);
     // Enough build repetitions that a pass is comfortably above timer
     // noise even though one kernel builds in well under a millisecond.
-    let repeats: usize = if smoke { 3 } else { 20 };
-    let rounds: usize = if smoke { 1 } else { 3 };
-    let polybench_n: u32 = positional
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_n);
-    let kernel_count: usize = positional
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_kernels);
-
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let repeats = mode.pick(20, 3);
+    let rounds = mode.pick(3, 1);
+    let cores = cores();
     // Even on one core, sweep past 1 thread so the fan-out path itself is
     // exercised (its speedup there is ~1x and judged as such).
     let max_threads = cores.max(2);
@@ -135,15 +93,9 @@ fn main() {
     }
     thread_counts.push(max_threads);
 
-    let named_kernels: Vec<(String, Module)> = polybench::NAMES
-        .iter()
-        .take(kernel_count)
-        .map(|name| {
-            let program = polybench::by_name(name, polybench_n).expect("known kernel");
-            let module = compile(&program);
-            let key = content_key(&wasabi_wasm::encode::encode(&module));
-            (key, module)
-        })
+    let named_kernels: Vec<(String, Module)> = kernels(polybench_n, kernel_count)
+        .into_iter()
+        .map(|(_, module)| (content_key(&wasabi_wasm::encode::encode(&module)), module))
         .collect();
     let kernels: Vec<Module> = named_kernels.iter().map(|(_, m)| m.clone()).collect();
     let functions: usize = kernels.iter().map(|m| m.functions.len()).sum();
@@ -159,45 +111,34 @@ fn main() {
     println!("{:<10} {:>10} {:>9}", "threads", "wall (ms)", "speedup");
     println!("{:-<10} {:->10} {:->9}", "", "", "");
 
-    let base = measure_threads(&kernels, repeats, 1, rounds);
-    let mut thread_rows = vec![ThreadRow {
-        threads: 1,
-        wall: base,
-        speedup: 1.0,
-    }];
-    for &threads in &thread_counts[1..] {
-        let wall = measure_threads(&kernels, repeats, threads, rounds);
-        thread_rows.push(ThreadRow {
-            threads,
-            wall,
-            speedup: base.as_secs_f64() / wall.as_secs_f64(),
-        });
+    // Median of `rounds` passes per thread count.
+    let walls: Vec<Duration> = thread_counts
+        .iter()
+        .map(|&threads| {
+            median_of(
+                (0..rounds).map(|_| build_pass(&kernels, repeats, threads)),
+                |&wall| wall,
+            )
+        })
+        .collect();
+    let speedup = |wall: &Duration| walls[0].as_secs_f64() / wall.as_secs_f64();
+    for (threads, wall) in thread_counts.iter().zip(&walls) {
+        println!("{threads:<10} {:>10.1} {:>8.2}x", ms(*wall), speedup(wall));
     }
-    for row in &thread_rows {
-        println!(
-            "{:<10} {:>10.1} {:>8.2}x",
-            row.threads,
-            row.wall.as_secs_f64() * 1000.0,
-            row.speedup,
-        );
-    }
-    let speedup_max = thread_rows.last().expect("swept").speedup;
+    let speedup_max = speedup(walls.last().expect("swept"));
 
     // Disk tier: cold start (empty dir: build + persist) vs warm start
     // (fresh cache, populated dir: decode only). Median-of-rounds each.
-    let dir = PathBuf::from(std::env::temp_dir())
-        .join(format!("wasabi-bench-parallel-{}", std::process::id()));
-    let mut colds = Vec::new();
-    let mut warms = Vec::new();
-    for _ in 0..rounds {
-        let _ = std::fs::remove_dir_all(&dir);
-        colds.push(start_process("cold_start", &named_kernels, &dir));
-        warms.push(start_process("disk_warm_start", &named_kernels, &dir));
-    }
-    colds.sort_by(|a, b| a.wall.cmp(&b.wall));
-    warms.sort_by(|a, b| a.wall.cmp(&b.wall));
-    let cold = colds.swap_remove(colds.len() / 2);
-    let warm = warms.swap_remove(warms.len() / 2);
+    let dir = std::env::temp_dir().join(format!("wasabi-bench-parallel-{}", std::process::id()));
+    let (colds, warms): (Vec<_>, Vec<_>) = (0..rounds)
+        .map(|_| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let cold = start_process("cold_start", &named_kernels, &dir);
+            (cold, start_process("disk_warm_start", &named_kernels, &dir))
+        })
+        .unzip();
+    let cold = median_of(colds, |row| row.wall);
+    let warm = median_of(warms, |row| row.wall);
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         cold.disk_misses,
@@ -221,7 +162,7 @@ fn main() {
         println!(
             "{:<18} {:>10.2} {:>10} {:>11}",
             row.config,
-            row.wall.as_secs_f64() * 1000.0,
+            ms(row.wall),
             row.disk_hits,
             row.disk_misses,
         );
@@ -233,42 +174,32 @@ fn main() {
         println!("note: single-core machine — thread scaling cannot exceed ~1x here");
     }
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\"polybench_n\":{polybench_n},\"kernels\":{},\"functions\":{functions},\
-         \"repeats\":{repeats},\"cores\":{cores},\"max_threads\":{max_threads},\
-         \"speedup_max_threads\":{speedup_max:.3},\
-         \"disk_warm_vs_cold\":{disk_warm_vs_cold:.3},\"threads\":[",
-        kernels.len(),
-    );
-    for (i, row) in thread_rows.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "{{\"threads\":{},\"wall_ms\":{:.3},\"speedup\":{:.3}}}",
-            row.threads,
-            row.wall.as_secs_f64() * 1000.0,
-            row.speedup,
-        );
-    }
-    json.push_str("],\"disk\":[");
-    for (i, row) in [&cold, &warm].into_iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "{{\"config\":\"{}\",\"wall_ms\":{:.3},\"disk_hits\":{},\"disk_misses\":{}}}",
-            row.config,
-            row.wall.as_secs_f64() * 1000.0,
-            row.disk_hits,
-            row.disk_misses,
-        );
-    }
-    json.push_str("]}");
-    std::fs::write(&out_path, &json).expect("write parallel json");
-    println!("wrote {out_path}");
+    let thread_docs = thread_counts.iter().zip(&walls).map(|(&threads, wall)| {
+        JsonValue::object([
+            ("threads", threads.into()),
+            ("wall_ms", round3(ms(*wall))),
+            ("speedup", round3(speedup(wall))),
+        ])
+    });
+    let disk_docs = [&cold, &warm].map(|row| {
+        JsonValue::object([
+            ("config", row.config.into()),
+            ("wall_ms", round3(ms(row.wall))),
+            ("disk_hits", row.disk_hits.into()),
+            ("disk_misses", row.disk_misses.into()),
+        ])
+    });
+    let doc = JsonValue::object([
+        ("polybench_n", polybench_n.into()),
+        ("kernels", kernels.len().into()),
+        ("functions", functions.into()),
+        ("repeats", repeats.into()),
+        ("cores", cores.into()),
+        ("max_threads", max_threads.into()),
+        ("speedup_max_threads", round3(speedup_max)),
+        ("disk_warm_vs_cold", round3(disk_warm_vs_cold)),
+        ("threads", JsonValue::array(thread_docs)),
+        ("disk", JsonValue::array(disk_docs)),
+    ]);
+    finish(mode, "parallel", &doc);
 }

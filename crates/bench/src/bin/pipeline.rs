@@ -5,52 +5,19 @@
 //! comparison as JSON.
 //!
 //! ```sh
-//! cargo run --release -p wasabi-bench --bin pipeline \
-//!     [polybench_n] [kernel_count] [--out <path>] [--smoke]
+//! cargo run --release -p wasabi-bench --bin pipeline [-- --smoke]
 //! ```
-//!
-//! Default output path: `BENCH_pipeline.json` in the current directory.
-//! `--smoke` shrinks the workload for CI.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use wasabi::{AnalysisSession, Wasabi};
+use wasabi::{AnalysisSession, JsonValue, Wasabi};
 use wasabi_analyses::registry;
-use wasabi_workloads::{compile, polybench};
-
-struct KernelResult {
-    name: String,
-    fused_ms: f64,
-    sequential_ms: f64,
-    fused_instrumentations: u64,
-    sequential_instrumentations: u64,
-}
+use wasabi_bench::{finish, kernels, ms, round3, Mode};
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let out_path = raw
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| raw.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_pipeline.json".to_string());
-    let mut positional = raw
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || raw[i - 1] != "--out"))
-        .map(|(_, a)| a);
-    let default_n: u32 = if smoke { 6 } else { 12 };
-    let default_kernels: usize = if smoke { 2 } else { 8 };
-    let polybench_n: u32 = positional
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_n);
-    let kernel_count: usize = positional
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_kernels);
+    let mode = Mode::from_args();
+    let polybench_n: u32 = mode.pick(12, 6);
+    let kernel_count = mode.pick(8, 2);
 
     println!(
         "Pipeline baseline: 8 Table-4 analyses fused vs. sequential \
@@ -63,10 +30,9 @@ fn main() {
     );
     println!("{:-<16} {:->12} {:->14} {:->9} {:->14}", "", "", "", "", "");
 
-    let mut results: Vec<KernelResult> = Vec::new();
-    for name in polybench::NAMES.iter().take(kernel_count) {
-        let module = compile(&polybench::by_name(name, polybench_n).expect("known kernel"));
-
+    let (mut total_fused, mut total_sequential) = (0.0, 0.0);
+    let mut kernel_rows = Vec::new();
+    for (name, module) in kernels(polybench_n, kernel_count) {
         // Fused: one pipeline over all eight analyses, built as one session.
         let mut analyses = registry::table4();
         let start = Instant::now();
@@ -76,8 +42,8 @@ fn main() {
         }
         let mut pipeline = builder.build(&module).expect("instruments");
         pipeline.run("main", &[]).expect("runs");
-        let fused_ms = start.elapsed().as_secs_f64() * 1000.0;
-        let fused_instrumentations = 1;
+        let fused_ms = ms(start.elapsed());
+        let fused_instrumentations = 1u64;
         drop(pipeline);
 
         // Sequential: eight independent instrument+execute passes, one
@@ -90,7 +56,7 @@ fn main() {
             sequential_instrumentations += 1;
             session.run(analysis.as_mut(), "main", &[]).expect("runs");
         }
-        let sequential_ms = start.elapsed().as_secs_f64() * 1000.0;
+        let sequential_ms = ms(start.elapsed());
 
         println!(
             "{name:<16} {fused_ms:>12.1} {sequential_ms:>14.1} {:>8.2}x {:>6} vs {:>4}",
@@ -98,17 +64,23 @@ fn main() {
             fused_instrumentations,
             sequential_instrumentations,
         );
-        results.push(KernelResult {
-            name: name.to_string(),
-            fused_ms,
-            sequential_ms,
-            fused_instrumentations,
-            sequential_instrumentations,
-        });
+        total_fused += fused_ms;
+        total_sequential += sequential_ms;
+        kernel_rows.push(JsonValue::object([
+            ("name", name.into()),
+            ("fused_ms", round3(fused_ms)),
+            ("sequential_ms", round3(sequential_ms)),
+            (
+                "fused_instrumentation_passes",
+                fused_instrumentations.into(),
+            ),
+            (
+                "sequential_instrumentation_passes",
+                sequential_instrumentations.into(),
+            ),
+        ]));
     }
 
-    let total_fused: f64 = results.iter().map(|r| r.fused_ms).sum();
-    let total_sequential: f64 = results.iter().map(|r| r.sequential_ms).sum();
     println!();
     println!(
         "total: fused {total_fused:.1} ms vs sequential {total_sequential:.1} ms \
@@ -116,32 +88,13 @@ fn main() {
         total_sequential / total_fused
     );
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\"polybench_n\":{polybench_n},\"analyses\":8,\
-         \"total_fused_ms\":{total_fused:.3},\
-         \"total_sequential_ms\":{total_sequential:.3},\
-         \"speedup\":{:.3},\"kernels\":[",
-        total_sequential / total_fused
-    );
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "{{\"name\":\"{}\",\"fused_ms\":{:.3},\"sequential_ms\":{:.3},\
-             \"fused_instrumentation_passes\":{},\
-             \"sequential_instrumentation_passes\":{}}}",
-            r.name,
-            r.fused_ms,
-            r.sequential_ms,
-            r.fused_instrumentations,
-            r.sequential_instrumentations,
-        );
-    }
-    json.push_str("]}");
-    std::fs::write(&out_path, &json).expect("write baseline json");
-    println!("wrote {out_path}");
+    let doc = JsonValue::object([
+        ("polybench_n", polybench_n.into()),
+        ("analyses", 8u32.into()),
+        ("total_fused_ms", round3(total_fused)),
+        ("total_sequential_ms", round3(total_sequential)),
+        ("speedup", round3(total_sequential / total_fused)),
+        ("kernels", JsonValue::Array(kernel_rows)),
+    ]);
+    finish(mode, "pipeline", &doc);
 }

@@ -4,15 +4,19 @@
 //! excluded).
 //!
 //! ```sh
-//! cargo run --release -p wasabi-bench --bin table4
+//! cargo run --release -p wasabi-bench --bin table4 [-- --smoke]
 //! ```
+//!
+//! The table takes milliseconds, so `--smoke` runs it unchanged.
 
 use wasabi_analyses::{count_loc, source_inventory};
+use wasabi_bench::Mode;
 
 /// The paper's JS line counts, for side-by-side comparison.
 const PAPER_LOC: [usize; 8] = [42, 9, 11, 14, 18, 208, 10, 11];
 
 fn main() {
+    Mode::from_args();
     println!("Table 4: Analyses built on top of Wasabi");
     println!();
     println!(

@@ -6,20 +6,21 @@
 //! Usage (release mode strongly recommended):
 //!
 //! ```sh
-//! cargo run --release -p wasabi-bench --bin table5 [app_kilobytes] [runs]
+//! cargo run --release -p wasabi-bench --bin table5 [-- --smoke]
 //! ```
 //!
-//! `app_kilobytes` scales the two synthetic app binaries (default 2000 KB
-//! for the PSPDFKit-like subject; pass 9615 for the paper's full size).
+//! The two synthetic app binaries are scaled to 2000 KB for the
+//! PSPDFKit-like subject (the paper's full size is 9615 KB); `--smoke`
+//! shrinks them and the repetition count for CI.
 
 use wasabi::hooks::HookSet;
 use wasabi::Instrumenter;
-use wasabi_bench::{binary_size, format_bytes, instrumentation_stats, subjects};
+use wasabi_bench::{binary_size, cores, format_bytes, instrumentation_stats, subjects, Mode};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let app_kb: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2000);
-    let runs: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(10);
+    let mode = Mode::from_args();
+    let app_kb: usize = mode.pick(2000, 100);
+    let runs: usize = mode.pick(10, 2);
 
     println!("Table 5: Time taken to instrument programs (full instrumentation,");
     println!("averaged across {runs} runs; PolyBench averaged over 30 programs)");
@@ -75,19 +76,16 @@ fn main() {
         .iter()
         .max_by_key(|s| binary_size(&s.module))
         .expect("non-empty corpus");
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    for n in [1, threads] {
+    for n in [1, cores()] {
         let start = std::time::Instant::now();
-        for _ in 0..runs.max(1) {
+        for _ in 0..runs {
             let out = Instrumenter::new(HookSet::all())
                 .threads(n)
                 .run(&largest.module)
                 .expect("instruments");
             std::hint::black_box(out);
         }
-        let per_run = start.elapsed().as_secs_f64() / runs.max(1) as f64;
+        let per_run = start.elapsed().as_secs_f64() / runs as f64;
         println!("  {n:>2} thread(s): {:.1} ms per run", per_run * 1000.0);
     }
     println!(

@@ -1,7 +1,6 @@
 //! # wasabi-bench — harness regenerating and extending the paper's evaluation
 //!
-//! Two families of binaries. First, one per paper table/figure (see
-//! DESIGN.md §4 for the experiment index):
+//! Two families of binaries. First, one per paper table/figure:
 //!
 //! | target | paper artifact |
 //! |---|---|
@@ -13,33 +12,262 @@
 //! | `ablation` | per-mechanism cost breakdown |
 //!
 //! Second, regression baselines for this reproduction's own extensions,
-//! each writing a committed `BENCH_*.json` that `ci.sh` gates on:
+//! each recording a committed `BENCH_<target>.json`:
 //!
-//! | target | extension measured | artifact |
-//! |---|---|---|
-//! | `pipeline` | fused multi-analysis pipeline vs. N sequential sessions | `BENCH_pipeline.json` |
-//! | `interp` | flat pre-translated IR vs. the structured walk | `BENCH_interp.json` |
-//! | `overhead` | host-call intrinsics vs. the generic call path (Fig. 9 revisited) | `BENCH_overhead.json` |
-//! | `fleet` | batch engine: shared translated-module cache + work-stealing workers, cold vs. warm, 1 worker vs. all cores | `BENCH_fleet.json` |
+//! | target | extension measured |
+//! |---|---|
+//! | `pipeline` | fused multi-analysis pipeline vs. N sequential sessions |
+//! | `interp` | flat pre-translated IR vs. the structured walk |
+//! | `overhead` | host-call intrinsics and direct emit vs. the generic call path (Fig. 9 revisited) |
+//! | `fleet` | batch engine: shared translated-module cache + work-stealing workers, cold vs. warm, 1 worker vs. all cores |
+//! | `parallel` | function-granular parallel build, and a disk-warm vs. cold process start |
+//! | `cohort` | one N-input cohort sweep vs. N warm fleet jobs |
 //!
-//! Every extension binary accepts `--smoke` (a seconds-scale workload for
-//! CI) and `--out <path>`; run them in release mode, e.g.
-//! `cargo run --release -p wasabi-bench --bin fleet`.
+//! Every binary takes one optional argument, `--smoke` (see [`Mode`]);
+//! any other argument prints usage and exits 2. Full mode is the
+//! recording run: a baseline binary writes `BENCH_<target>.json` to the
+//! working directory. Smoke mode shrinks the workload to seconds, writes
+//! nothing, and checks the fresh result against [`GATES`], exiting 1 if a
+//! gate fails. Run them in release mode, e.g.
+//! `cargo run --release -p wasabi-bench --bin fleet -- --smoke`.
 //!
 //! The library part of this crate holds what the binaries share: the
 //! [`FIGURE_HOOK_GROUPS`] x-axis of Figures 8/9, workload construction
-//! ([`subjects`]), and the measurement helpers
-//! ([`run_original`], [`run_instrumented`], [`instrumentation_stats`], …).
+//! ([`subjects`], [`kernels`]), the measurement helpers ([`run_flat`],
+//! [`run_session`], [`instrumentation_stats`], …), the repetition
+//! estimators ([`best_of`], [`median_of`]), and the gate table.
 
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use wasabi::hooks::{Hook, HookSet, NoAnalysis};
-use wasabi::{instrument, AnalysisSession, WasabiHost};
-use wasabi_vm::{EmptyHost, Instance, Reference, TranslatedModule};
+use wasabi::{instrument, AnalysisSession, JsonValue, WasabiHost};
+use wasabi_vm::{EmptyHost, Host, Instance, Reference, TranslatedModule};
 use wasabi_wasm::encode::encode;
 use wasabi_wasm::module::Module;
 use wasabi_workloads::synthetic::{synthetic_app, SyntheticConfig};
 use wasabi_workloads::{compile, polybench};
+use Bound::{AtLeast, AtMost};
+
+/// How a bench binary runs, chosen by its one optional argument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// The recording run at the sizes the baselines were taken at.
+    Full,
+    /// `--smoke`: a seconds-scale workload for CI.
+    Smoke,
+}
+
+impl Mode {
+    /// Parse a binary's arguments (program name excluded). The only
+    /// accepted argument is `--smoke`, so a typo can never fall through
+    /// to a full run that overwrites a committed baseline.
+    ///
+    /// # Errors
+    ///
+    /// Any other argument, or more than one.
+    pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Mode, String> {
+        match args {
+            [] => Ok(Mode::Full),
+            [flag] if flag.as_ref() == "--smoke" => Ok(Mode::Smoke),
+            _ => Err(format!(
+                "unexpected argument(s): {}",
+                args.iter().map(AsRef::as_ref).collect::<Vec<_>>().join(" ")
+            )),
+        }
+    }
+
+    /// [`Mode::parse`] on the process arguments; on an error, print usage
+    /// to stderr and exit 2.
+    pub fn from_args() -> Mode {
+        let mut args = std::env::args();
+        let bin = args.next().unwrap_or_default();
+        let rest: Vec<String> = args.collect();
+        Mode::parse(&rest).unwrap_or_else(|err| {
+            eprintln!("{err}\nusage: {bin} [--smoke]");
+            std::process::exit(2)
+        })
+    }
+
+    /// `full` in full mode, `smoke` in smoke mode.
+    pub fn pick<T>(self, full: T, smoke: T) -> T {
+        match self {
+            Mode::Full => full,
+            Mode::Smoke => smoke,
+        }
+    }
+}
+
+/// Which way a [`Gate`] bounds its number.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// The number must be `>=` the bound.
+    AtLeast(f64),
+    /// The number must be `<=` the bound.
+    AtMost(f64),
+}
+
+/// One performance floor on a number in a `BENCH_<bench>.json` baseline.
+#[derive(Debug, Clone, Copy)]
+pub struct Gate {
+    /// The bench binary that records the number.
+    pub bench: &'static str,
+    /// The gated number: an object key, `/` stepping into a nested object.
+    pub key: &'static str,
+    /// The floor (or ceiling).
+    pub bound: Bound,
+    /// Also checked on a fresh smoke run, not only on the committed file.
+    pub fresh: bool,
+}
+
+impl Gate {
+    /// Check `doc` against this gate: `Ok` with a one-line summary, `Err`
+    /// with the failure. A missing key or a non-number fails.
+    ///
+    /// # Errors
+    ///
+    /// The number is missing, not a number, or past the bound.
+    pub fn check(&self, doc: &JsonValue) -> Result<String, String> {
+        let value = self
+            .key
+            .split('/')
+            .try_fold(doc, |value, key| value.get(key))
+            .and_then(JsonValue::as_f64)
+            .ok_or_else(|| format!("{}: `{}` is missing or not a number", self.bench, self.key))?;
+        let (ok, op, bound) = match self.bound {
+            AtLeast(bound) => (value >= bound, ">=", bound),
+            AtMost(bound) => (value <= bound, "<=", bound),
+        };
+        let line = format!("{} {} = {value:.3} ({op} {bound})", self.bench, self.key);
+        if ok {
+            Ok(line)
+        } else {
+            Err(line)
+        }
+    }
+}
+
+/// Every single-number performance floor on the baselines. Each ratio
+/// compares two arms measured in one process, so it holds across hosts
+/// of different speed.
+///
+/// Two rules are not single-key thresholds and live as code: the
+/// `overhead` binary's smoke run must keep its same-kernel all-hooks
+/// overhead geomean within 1.25x of the committed one, and
+/// [`THREAD_SCALING`] applies only to multi-core recordings.
+#[rustfmt::skip]
+pub const GATES: &[Gate] = &[
+    // Flat pre-translated IR vs. the structured walk, geomean over kernels.
+    Gate { bench: "interp", key: "geomean_speedup", bound: AtLeast(2.0), fresh: true },
+    // Eight Table-4 analyses fused vs. eight sequential sessions.
+    Gate { bench: "pipeline", key: "speedup", bound: AtLeast(2.0), fresh: false },
+    // All-hooks wall time, generic call path over intrinsic dispatch.
+    Gate { bench: "overhead", key: "all/improvement", bound: AtLeast(1.5), fresh: false },
+    // All-hooks wall time, direct emit over the rewrite path.
+    Gate { bench: "overhead", key: "all/direct_vs_rewrite", bound: AtMost(0.75), fresh: true },
+    // Warm cache on all cores vs. cold cache on one worker, jobs/sec.
+    Gate { bench: "fleet", key: "warm_allcores_vs_cold_1worker", bound: AtLeast(1.5), fresh: true },
+    // Loading prepared sessions from disk vs. building them.
+    Gate { bench: "parallel", key: "disk_warm_vs_cold", bound: AtLeast(2.0), fresh: true },
+    // One cohort sweep vs. the same inputs as warm 1-worker fleet jobs.
+    Gate { bench: "cohort", key: "speedup_cohort_vs_fleet", bound: AtLeast(1.5), fresh: true },
+];
+
+/// The build speedup at max threads in `BENCH_parallel.json`. Judged on
+/// the committed file only, and only when it was recorded on more than
+/// one core (its `cores` key): on one core the sweep is ~1x by
+/// construction.
+pub const THREAD_SCALING: Gate = Gate {
+    bench: "parallel",
+    key: "speedup_max_threads",
+    bound: AtLeast(1.5),
+    fresh: false,
+};
+
+/// The [`GATES`] of `bench` that apply to its committed file, or to a
+/// fresh smoke run when `fresh`.
+pub fn gates_for(bench: &str, fresh: bool) -> impl Iterator<Item = &'static Gate> + '_ {
+    GATES
+        .iter()
+        .filter(move |gate| gate.bench == bench && (gate.fresh || !fresh))
+}
+
+/// Print each gate outcome to stderr; exit 1 if any failed.
+pub fn enforce(outcomes: impl IntoIterator<Item = Result<String, String>>) {
+    let mut failed = false;
+    for outcome in outcomes {
+        match outcome {
+            Ok(line) => eprintln!("gate ok: {line}"),
+            Err(line) => {
+                eprintln!("gate FAILED: {line}");
+                failed = true;
+            }
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
+}
+
+/// The committed baseline file of `bench`, relative to the repo root.
+pub fn baseline_file(bench: &str) -> String {
+    format!("BENCH_{bench}.json")
+}
+
+/// Read and parse a baseline file.
+///
+/// # Errors
+///
+/// The file is unreadable or not JSON.
+pub fn load_baseline(path: &Path) -> Result<JsonValue, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    wasabi::json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// End a baseline binary. Full mode writes `doc` to
+/// `BENCH_<bench>.json` in the working directory; smoke mode checks it
+/// against the fresh-side gates of `bench` and exits 1 on a failure.
+pub fn finish(mode: Mode, bench: &str, doc: &JsonValue) {
+    match mode {
+        Mode::Full => {
+            let path = baseline_file(bench);
+            std::fs::write(&path, wasabi::json::emit(doc)).expect("write baseline json");
+            println!("wrote {path}");
+        }
+        Mode::Smoke => enforce(gates_for(bench, true).map(|gate| gate.check(doc))),
+    }
+}
+
+/// A number rounded to 3 decimals, as the baselines record them.
+pub fn round3(value: f64) -> JsonValue {
+    JsonValue::Float((value * 1000.0).round() / 1000.0)
+}
+
+/// Milliseconds of `wall`.
+pub fn ms(wall: Duration) -> f64 {
+    wall.as_secs_f64() * 1000.0
+}
+
+/// The fastest of `runs` by `wall`: on short deterministic runs the
+/// minimum is the stable estimator of the undisturbed run.
+pub fn best_of<T>(runs: impl IntoIterator<Item = T>, wall: impl Fn(&T) -> Duration) -> T {
+    runs.into_iter()
+        .min_by_key(|run| wall(run))
+        .expect("at least one run")
+}
+
+/// The median of `runs` by `wall` (the upper one for an even count).
+pub fn median_of<T>(runs: impl IntoIterator<Item = T>, wall: impl Fn(&T) -> Duration) -> T {
+    let mut runs: Vec<T> = runs.into_iter().collect();
+    assert!(!runs.is_empty(), "at least one run");
+    runs.sort_by_key(|run| wall(run));
+    runs.swap_remove(runs.len() / 2)
+}
+
+/// Cores this process may run on.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
 
 /// The per-hook instrumentation groups on the x-axis of Figures 8 and 9.
 ///
@@ -105,24 +333,34 @@ pub fn subjects(polybench_n: u32, app_scale: usize) -> Vec<Subject> {
     subjects
 }
 
+/// The first `count` PolyBench kernels (in [`polybench::NAMES`] order)
+/// at problem size `polybench_n`, compiled.
+pub fn kernels(polybench_n: u32, count: usize) -> Vec<(&'static str, Module)> {
+    polybench::NAMES
+        .iter()
+        .take(count)
+        .map(|&name| {
+            let program = polybench::by_name(name, polybench_n).expect("known kernel");
+            (name, compile(&program))
+        })
+        .collect()
+}
+
 /// Encoded binary size in bytes.
 pub fn binary_size(module: &Module) -> usize {
     encode(module).len()
 }
 
-/// Time one instrumentation run.
-pub fn time_instrumentation(module: &Module, hooks: HookSet) -> Duration {
-    let start = Instant::now();
-    let result = instrument(module, hooks).expect("instruments");
-    let elapsed = start.elapsed();
-    std::hint::black_box(result);
-    elapsed
-}
-
 /// Mean and standard deviation of `runs` instrumentation timings.
 pub fn instrumentation_stats(module: &Module, hooks: HookSet, runs: usize) -> (Duration, Duration) {
     let times: Vec<f64> = (0..runs)
-        .map(|_| time_instrumentation(module, hooks).as_secs_f64())
+        .map(|_| {
+            let start = Instant::now();
+            let result = instrument(module, hooks).expect("instruments");
+            let elapsed = start.elapsed();
+            std::hint::black_box(result);
+            elapsed.as_secs_f64()
+        })
         .collect();
     let mean = times.iter().sum::<f64>() / times.len() as f64;
     let var = times.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / times.len() as f64;
@@ -145,18 +383,6 @@ pub struct RunMeasurement {
     pub host_calls_slow: u64,
 }
 
-impl RunMeasurement {
-    fn from_instance(wall: Duration, instance: &wasabi_vm::Instance) -> Self {
-        let (host_calls_fast, host_calls_slow) = instance.host_call_counts();
-        RunMeasurement {
-            wall,
-            vm_instrs: instance.executed_instrs(),
-            host_calls_fast,
-            host_calls_slow,
-        }
-    }
-}
-
 /// A no-op analysis that **subscribes to all hooks**: every event is built
 /// and delivered (to empty handlers). This reproduces the pre-intrinsic
 /// runtime cost — [`NoAnalysis`] subscribes to nothing, so since the
@@ -175,186 +401,75 @@ impl wasabi::hooks::Analysis for AllHooksNop {
     }
 }
 
-/// Run the uninstrumented module's export once and measure it.
-pub fn run_original(module: &Module, export: &str) -> RunMeasurement {
-    let mut host = EmptyHost;
-    let mut instance = Instance::instantiate(module.clone(), &mut host).expect("instantiates");
-    let start = Instant::now();
-    instance
-        .invoke_export(export, &[], &mut host)
-        .expect("runs without trap");
-    RunMeasurement::from_instance(start.elapsed(), &instance)
-}
-
-/// Instrument for `hooks`, run under the no-op analysis, and measure.
-/// The measured time excludes instrumentation (like the paper, which
-/// instruments offline and measures execution in the browser).
-pub fn run_instrumented(module: &Module, hooks: HookSet, export: &str) -> RunMeasurement {
-    let session = AnalysisSession::new(module, hooks).expect("instruments");
-    let mut analysis = NoAnalysis;
-    let mut host = WasabiHost::new(session.info(), &mut analysis);
-    let mut instance =
-        Instance::instantiate(session.module().clone(), &mut host).expect("instantiates");
-    let start = Instant::now();
-    instance
-        .invoke_export(export, &[], &mut host)
-        .expect("runs without trap");
-    RunMeasurement::from_instance(start.elapsed(), &instance)
-}
-
-/// Best-of-`repeats` original run (minimum wall time suppresses scheduler
-/// noise on short-running subjects; the VM instruction count is identical
-/// across repeats). The module is validated and translated to the flat IR
-/// **once**; each repeat only instantiates.
-pub fn run_original_repeated(module: &Module, export: &str, repeats: usize) -> RunMeasurement {
-    let translated = TranslatedModule::new(module.clone()).expect("validates");
-    (0..repeats.max(1))
-        .map(|_| {
-            let mut host = EmptyHost;
-            let mut instance =
-                Instance::instantiate_translated(&translated, &mut host).expect("instantiates");
-            let start = Instant::now();
-            instance
-                .invoke_export(export, &[], &mut host)
-                .expect("runs without trap");
-            RunMeasurement::from_instance(start.elapsed(), &instance)
-        })
-        .min_by(|a, b| a.wall.cmp(&b.wall))
-        .expect("at least one run")
-}
-
-/// Best-of-`repeats` instrumented run (instrumentation done once).
-pub fn run_instrumented_repeated(
-    module: &Module,
-    hooks: HookSet,
-    export: &str,
-    repeats: usize,
-) -> RunMeasurement {
-    let session = AnalysisSession::new(module, hooks).expect("instruments");
-    (0..repeats.max(1))
-        .map(|_| {
-            let mut analysis = NoAnalysis;
-            let mut host = WasabiHost::new(session.info(), &mut analysis);
-            let mut instance = Instance::instantiate_translated(session.translated(), &mut host)
-                .expect("instantiates");
-            let start = Instant::now();
-            instance
-                .invoke_export(export, &[], &mut host)
-                .expect("runs without trap");
-            RunMeasurement::from_instance(start.elapsed(), &instance)
-        })
-        .min_by(|a, b| a.wall.cmp(&b.wall))
-        .expect("at least one run")
-}
-
-/// Measure `invocations` consecutive calls of the uninstrumented export
-/// (one instantiation; wall time and instruction count are totals). Use
-/// for short-running subjects where a single call is below timer
-/// resolution.
-pub fn run_original_amortized(module: &Module, export: &str, invocations: usize) -> RunMeasurement {
-    let mut host = EmptyHost;
-    let mut instance = Instance::instantiate(module.clone(), &mut host).expect("instantiates");
-    let start = Instant::now();
-    for _ in 0..invocations.max(1) {
-        instance
-            .invoke_export(export, &[], &mut host)
-            .expect("runs without trap");
-    }
-    RunMeasurement::from_instance(start.elapsed(), &instance)
-}
-
-/// Measure `invocations` consecutive calls of the uninstrumented export
-/// executed by the structured-walk [`Reference`] oracle — the seed
-/// interpreter semantics, the "before" side of `BENCH_interp.json`.
-pub fn run_reference_amortized(
-    module: &Module,
-    export: &str,
-    invocations: usize,
-) -> RunMeasurement {
-    let reference = Reference::new(module);
-    let mut host = EmptyHost;
-    let mut instance = Instance::instantiate(module.clone(), &mut host).expect("instantiates");
-    let start = Instant::now();
-    for _ in 0..invocations.max(1) {
-        reference
-            .invoke_export(&mut instance, export, &[], &mut host)
-            .expect("runs without trap");
-    }
-    RunMeasurement::from_instance(start.elapsed(), &instance)
-}
-
-/// Amortized flat-IR counterpart of [`run_reference_amortized`]: the
-/// module is translated once up front, then invoked on one instance.
-pub fn run_flat_amortized(
+/// The one measured loop behind every `run_*` helper: instantiate
+/// `translated` against `host` (untimed), then time `invocations`
+/// consecutive calls of `export` on that instance — on the flat IR, or
+/// on the structured walk when `reference` is given. Wall time and
+/// counters are totals, so short subjects rise above timer resolution.
+fn timed_invocations(
     translated: &TranslatedModule,
+    host: &mut dyn Host,
     export: &str,
     invocations: usize,
+    reference: Option<&Reference>,
 ) -> RunMeasurement {
-    let mut host = EmptyHost;
-    let mut instance =
-        Instance::instantiate_translated(translated, &mut host).expect("instantiates");
+    let mut instance = Instance::instantiate_translated(translated, host).expect("instantiates");
     let start = Instant::now();
     for _ in 0..invocations.max(1) {
-        instance
-            .invoke_export(export, &[], &mut host)
-            .expect("runs without trap");
+        match reference {
+            Some(reference) => reference.invoke_export(&mut instance, export, &[], host),
+            None => instance.invoke_export(export, &[], host),
+        }
+        .expect("runs without trap");
     }
-    RunMeasurement::from_instance(start.elapsed(), &instance)
+    let wall = start.elapsed();
+    let (host_calls_fast, host_calls_slow) = instance.host_call_counts();
+    RunMeasurement {
+        wall,
+        vm_instrs: instance.executed_instrs(),
+        host_calls_fast,
+        host_calls_slow,
+    }
 }
 
-/// Amortized counterpart of [`run_instrumented`].
-pub fn run_instrumented_amortized(
-    module: &Module,
-    hooks: HookSet,
-    export: &str,
-    invocations: usize,
-) -> RunMeasurement {
-    let session = AnalysisSession::new(module, hooks).expect("instruments");
+/// Uninstrumented run on the flat IR of an already translated module.
+pub fn run_flat(translated: &TranslatedModule, export: &str, invocations: usize) -> RunMeasurement {
+    timed_invocations(translated, &mut EmptyHost, export, invocations, None)
+}
+
+/// Uninstrumented run on the structured-walk [`Reference`] oracle — the
+/// seed interpreter semantics, the "before" side of `BENCH_interp.json`.
+pub fn run_reference(module: &Module, export: &str, invocations: usize) -> RunMeasurement {
+    let translated = TranslatedModule::new(module.clone()).expect("validates");
+    let reference = Reference::new(module);
+    timed_invocations(
+        &translated,
+        &mut EmptyHost,
+        export,
+        invocations,
+        Some(&reference),
+    )
+}
+
+/// Instrumented run of `session` under [`NoAnalysis`]. Instrumentation
+/// is done when the session is built, so it is not timed (like the
+/// paper, which instruments offline and measures execution in the
+/// browser). On a direct-emit session (`AnalysisSession::direct`) every
+/// hook plan is a no-op, so the instantiation-time `is_noop` mask drops
+/// the calls before argument marshalling — the "after" side of the
+/// `direct_vs_rewrite` ratio in `BENCH_overhead.json`.
+pub fn run_session(session: &AnalysisSession, export: &str, invocations: usize) -> RunMeasurement {
     let mut analysis = NoAnalysis;
     let mut host = WasabiHost::new(session.info(), &mut analysis);
-    let mut instance =
-        Instance::instantiate_translated(session.translated(), &mut host).expect("instantiates");
-    let start = Instant::now();
-    for _ in 0..invocations.max(1) {
-        instance
-            .invoke_export(export, &[], &mut host)
-            .expect("runs without trap");
-    }
-    RunMeasurement::from_instance(start.elapsed(), &instance)
+    timed_invocations(session.translated(), &mut host, export, invocations, None)
 }
 
-/// Amortized instrumented run over the **direct-emit path**
-/// (`AnalysisSession::direct`): hook calls are injected at translate time
-/// as synthetic imports, never encoded into a rewritten binary. Under
-/// [`NoAnalysis`] every hook plan is a no-op, so the VM's instantiation-time
-/// `is_noop` mask drops the calls before argument marshalling — the "after"
-/// side of the `direct_vs_rewrite` ratio in `BENCH_overhead.json`.
-pub fn run_direct_amortized(
-    module: &Module,
-    hooks: HookSet,
-    export: &str,
-    invocations: usize,
-) -> RunMeasurement {
-    let session = AnalysisSession::direct(module, hooks).expect("instruments");
-    let mut analysis = NoAnalysis;
-    let mut host = WasabiHost::new(session.info(), &mut analysis);
-    let mut instance =
-        Instance::instantiate_translated(session.translated(), &mut host).expect("instantiates");
-    let start = Instant::now();
-    for _ in 0..invocations.max(1) {
-        instance
-            .invoke_export(export, &[], &mut host)
-            .expect("runs without trap");
-    }
-    RunMeasurement::from_instance(start.elapsed(), &instance)
-}
-
-/// Amortized instrumented run over the **pre-intrinsic generic-call
-/// path**: the instrumented module is translated *without* host-call
-/// intrinsics and runs under [`AllHooksNop`], so every hook call goes
-/// through the generic call machinery and builds its event — the "before"
-/// side of `BENCH_overhead.json`.
-pub fn run_instrumented_generic_amortized(
+/// Instrumented run over the **pre-intrinsic generic-call path**: the
+/// instrumented module is translated *without* host-call intrinsics and
+/// runs under [`AllHooksNop`], so every hook call goes through the
+/// generic call machinery and builds its event — the "before" side of
+/// `BENCH_overhead.json`.
+pub fn run_generic(
     module: &Module,
     hooks: HookSet,
     export: &str,
@@ -365,15 +480,7 @@ pub fn run_instrumented_generic_amortized(
         TranslatedModule::new_without_host_intrinsics(instrumented).expect("validates");
     let mut analysis = AllHooksNop;
     let mut host = WasabiHost::new(&info, &mut analysis);
-    let mut instance =
-        Instance::instantiate_translated(&translated, &mut host).expect("instantiates");
-    let start = Instant::now();
-    for _ in 0..invocations.max(1) {
-        instance
-            .invoke_export(export, &[], &mut host)
-            .expect("runs without trap");
-    }
-    RunMeasurement::from_instance(start.elapsed(), &instance)
+    timed_invocations(&translated, &mut host, export, invocations, None)
 }
 
 /// Geometric mean.
@@ -440,11 +547,77 @@ mod tests {
     }
 
     #[test]
+    fn only_a_lone_smoke_flag_is_accepted() {
+        assert_eq!(Mode::parse::<&str>(&[]), Ok(Mode::Full));
+        assert_eq!(Mode::parse(&["--smoke"]), Ok(Mode::Smoke));
+        // A typo must not fall through to a full run that overwrites the
+        // committed baseline, and the removed knobs must not come back.
+        assert!(Mode::parse(&["--smok"]).is_err());
+        assert!(Mode::parse(&["--out", "x"]).is_err());
+        assert!(Mode::parse(&["12"]).is_err());
+        assert!(Mode::parse(&["--smoke", "--smoke"]).is_err());
+    }
+
+    #[test]
+    fn gates_pass_at_the_bound_and_fail_past_it_or_without_a_number() {
+        let doc = |text| wasabi::json::parse(text).unwrap();
+        let floor = Gate {
+            bench: "b",
+            key: "all/ratio",
+            bound: AtLeast(2.0),
+            fresh: true,
+        };
+        assert!(floor.check(&doc(r#"{"all":{"ratio":2.0}}"#)).is_ok());
+        assert!(floor.check(&doc(r#"{"all":{"ratio":2}}"#)).is_ok());
+        assert!(floor.check(&doc(r#"{"all":{"ratio":1.999}}"#)).is_err());
+        let ceiling = Gate {
+            key: "ratio",
+            bound: AtMost(0.75),
+            ..floor
+        };
+        assert!(ceiling.check(&doc(r#"{"ratio":0.75}"#)).is_ok());
+        assert!(ceiling.check(&doc(r#"{"ratio":0.751}"#)).is_err());
+        // A missing key or a non-number never passes.
+        for missing in [
+            r#"{"ratio":3.0}"#,
+            r#"{"all":{}}"#,
+            r#"{"all":{"ratio":"3.0"}}"#,
+            r#"{"all":{"ratio":null}}"#,
+            r#"{"all":3.0}"#,
+        ] {
+            assert!(floor.check(&doc(missing)).is_err(), "{missing}");
+        }
+    }
+
+    #[test]
+    fn committed_only_gates_are_skipped_on_the_fresh_side() {
+        let keys = |bench, fresh| gates_for(bench, fresh).map(|g| g.key).collect::<Vec<_>>();
+        assert_eq!(keys("pipeline", false), ["speedup"]);
+        assert!(keys("pipeline", true).is_empty());
+        assert_eq!(
+            keys("overhead", false),
+            ["all/improvement", "all/direct_vs_rewrite"]
+        );
+        assert_eq!(keys("overhead", true), ["all/direct_vs_rewrite"]);
+    }
+
+    #[test]
+    fn best_of_is_the_first_minimum_and_median_the_middle() {
+        let walls = [5, 2, 9, 2, 7].map(Duration::from_millis);
+        let runs = || walls.iter().copied().enumerate();
+        // Sorted: 2 (#1), 2 (#3), 5 (#0), 7 (#4), 9 (#2).
+        assert_eq!(best_of(runs(), |&(_, wall)| wall).0, 1);
+        assert_eq!(median_of(runs(), |&(_, wall)| wall).0, 0);
+        // Of an even count, the upper median: 5 (#0) of 2 (#1), 5 (#0).
+        assert_eq!(median_of(runs().take(2), |&(_, wall)| wall).0, 0);
+    }
+
+    #[test]
     fn reference_and_flat_execute_identically() {
         let module = compile(&polybench::by_name("jacobi-1d", 6).unwrap());
         let translated = TranslatedModule::new(module.clone()).unwrap();
-        let flat = run_flat_amortized(&translated, "main", 2);
-        let reference = run_reference_amortized(&module, "main", 2);
+        let flat = run_flat(&translated, "main", 2);
+        let reference = run_reference(&module, "main", 2);
         // Superinstructions count as the instructions they were fused from,
         // so both executors must report the same instruction total.
         assert_eq!(flat.vm_instrs, reference.vm_instrs);
@@ -453,8 +626,9 @@ mod tests {
     #[test]
     fn overhead_measurement_is_sane() {
         let module = compile(&polybench::by_name("jacobi-1d", 8).unwrap());
-        let base = run_original(&module, "main");
-        let all = run_instrumented(&module, HookSet::all(), "main");
+        let base = run_flat(&TranslatedModule::new(module.clone()).unwrap(), "main", 1);
+        let session = AnalysisSession::new(&module, HookSet::all()).unwrap();
+        let all = run_session(&session, "main", 1);
         // Full instrumentation must execute strictly more VM instructions.
         assert!(all.vm_instrs > base.vm_instrs);
         // ... and its hook calls must ride the intrinsic fast path.
@@ -466,8 +640,10 @@ mod tests {
     #[test]
     fn direct_path_matches_rewrite_counts_and_masks_every_hook() {
         let module = compile(&polybench::by_name("jacobi-1d", 6).unwrap());
-        let rewrite = run_instrumented_amortized(&module, HookSet::all(), "main", 1);
-        let direct = run_direct_amortized(&module, HookSet::all(), "main", 1);
+        let rewrite = AnalysisSession::new(&module, HookSet::all()).unwrap();
+        let rewrite = run_session(&rewrite, "main", 1);
+        let direct = AnalysisSession::direct(&module, HookSet::all()).unwrap();
+        let direct = run_session(&direct, "main", 1);
         // Same injected hook sites, same executed-instruction accounting.
         assert_eq!(direct.vm_instrs, rewrite.vm_instrs);
         assert_eq!(direct.host_calls_fast, rewrite.host_calls_fast);
@@ -479,8 +655,9 @@ mod tests {
     #[test]
     fn generic_path_matches_intrinsic_counts_but_takes_the_slow_route() {
         let module = compile(&polybench::by_name("jacobi-1d", 6).unwrap());
-        let fast = run_instrumented_amortized(&module, HookSet::all(), "main", 1);
-        let slow = run_instrumented_generic_amortized(&module, HookSet::all(), "main", 1);
+        let session = AnalysisSession::new(&module, HookSet::all()).unwrap();
+        let fast = run_session(&session, "main", 1);
+        let slow = run_generic(&module, HookSet::all(), "main", 1);
         assert_eq!(fast.vm_instrs, slow.vm_instrs);
         assert_eq!(
             slow.host_calls_fast, 0,
