@@ -40,10 +40,13 @@ repeat 10 cargo test -q -p wasabi-server --test lifecycle
 
 # Differential-oracle gate: re-run the three-way oracle (direct-emit vs.
 # rewrite+flat vs. Reference) with elevated case counts so every CI run
-# gets real random-module coverage, not just the fast local default.
+# gets real random-module coverage, not just the fast local default. The
+# parallel-build proptest guards the deterministic merge of per-function
+# translation tables (N threads must build what one thread builds).
 echo "==> differential oracle (PROPTEST_CASES=64)"
 PROPTEST_CASES=64 cargo test -q --test instrumented_differential
 PROPTEST_CASES=64 cargo test -q -p wasabi-vm --test zero_cost_unsubscribed
+PROPTEST_CASES=64 cargo test -q -p wasabi --test proptests parallel_fused_build_is_bit_identical
 
 # Cohort differential gate: N interleaved instances must stay
 # bit-identical to N sequential runs (results, traps, instruction

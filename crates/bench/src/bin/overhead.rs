@@ -8,7 +8,7 @@
 //!   every plan is a no-op, so the instantiation-time `is_noop` mask drops
 //!   each call before argument marshalling,
 //! - **intrinsic** (rewrite + intrinsics): the binary-rewritten module on
-//!   `Op::HostCall`/`Op::HostCallConst` dispatch plus the runtime's
+//!   `Op::HostCall` dispatch (argument templates folded) plus the runtime's
 //!   zero-subscriber skip (`NoAnalysis` listens to nothing, like Fig. 9's
 //!   no-op analysis),
 //! - **generic** (pre-intrinsic): the generic call machinery with full

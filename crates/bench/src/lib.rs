@@ -377,7 +377,7 @@ pub struct RunMeasurement {
     /// metric that complements wall time).
     pub vm_instrs: u64,
     /// Host calls dispatched through the VM's host-call intrinsic fast
-    /// path (`Op::HostCall`/`Op::HostCallConst`).
+    /// path (`Op::HostCall`, with or without an argument template).
     pub host_calls_fast: u64,
     /// Host calls dispatched through the generic call machinery.
     pub host_calls_slow: u64,

@@ -63,7 +63,7 @@ use crate::location::{BranchTarget, Location};
 use crate::runtime::AnalysisSession;
 
 /// Bump on ANY change to this layout or to the VM code codec.
-const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 4] = b"WSBC";
 

@@ -99,12 +99,6 @@ impl Budget {
         self
     }
 
-    /// Trap with [`Trap::DeadlineExceeded`] at the given instant.
-    pub fn deadline_at(mut self, at: Instant) -> Self {
-        self.deadline = Some(at);
-        self
-    }
-
     /// Poll `token` from the hot loop; trap with [`Trap::Cancelled`]
     /// (or [`Trap::DeadlineExceeded`], if the token was expired by a
     /// watchdog) once it fires.

@@ -114,33 +114,15 @@ fn put_op(out: &mut Vec<u8>, op: &Op) {
             put_u32(out, *callee);
             put_u32(out, *params);
         }
-        Op::HostCall { func, argc, retc } => {
-            out.push(9);
-            put_u32(out, *func);
-            put_u32(out, *argc);
-            put_u32(out, *retc);
-        }
-        Op::HostCallArgs {
+        Op::HostCall {
             func,
             stack_argc,
             retc,
             args_at,
             args_len,
         } => {
-            out.push(10);
+            out.push(9);
             for v in [func, stack_argc, retc, args_at, args_len] {
-                put_u32(out, *v);
-            }
-        }
-        Op::HostCallConst {
-            func,
-            stack_argc,
-            retc,
-            const_at,
-            const_len,
-        } => {
-            out.push(11);
-            for v in [func, stack_argc, retc, const_at, const_len] {
                 put_u32(out, *v);
             }
         }
@@ -288,10 +270,6 @@ pub(crate) fn encode(code: &ModuleCode) -> Vec<u8> {
     for sig in &code.sigs {
         put_functype(&mut out, sig);
     }
-    put_len(&mut out, code.consts.len());
-    for &v in &code.consts {
-        put_val(&mut out, v);
-    }
     put_len(&mut out, code.args.len());
     for arg in &code.args {
         match arg {
@@ -422,22 +400,10 @@ impl<'a> Reader<'a> {
             },
             9 => Op::HostCall {
                 func: self.u32()?,
-                argc: self.u32()?,
-                retc: self.u32()?,
-            },
-            10 => Op::HostCallArgs {
-                func: self.u32()?,
                 stack_argc: self.u32()?,
                 retc: self.u32()?,
                 args_at: self.u32()?,
                 args_len: self.u32()?,
-            },
-            11 => Op::HostCallConst {
-                func: self.u32()?,
-                stack_argc: self.u32()?,
-                retc: self.u32()?,
-                const_at: self.u32()?,
-                const_len: self.u32()?,
             },
             12 => Op::CallIndirect {
                 sig: self.u32()?,
@@ -523,8 +489,9 @@ impl<'a> Reader<'a> {
 }
 
 /// Deserialize module code encoded by [`encode`]. Returns `None` for any
-/// malformed input (truncated, unknown tags, bad lengths, trailing bytes)
-/// — never panics.
+/// malformed input (truncated, unknown tags, bad lengths, trailing bytes,
+/// an op indexing past the decoded `args` or `sigs` table) — never
+/// panics.
 pub(crate) fn decode(bytes: &[u8]) -> Option<ModuleCode> {
     let mut r = Reader::new(bytes);
     let funcs: Vec<FuncCode> = (0..r.len()?)
@@ -536,7 +503,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Option<ModuleCode> {
         })
         .collect::<Option<_>>()?;
     let sigs: Vec<FuncType> = (0..r.len()?).map(|_| r.functype()).collect::<Option<_>>()?;
-    let consts: Vec<Val> = (0..r.len()?).map(|_| r.val()).collect::<Option<_>>()?;
     let args: Vec<ArgSrc> = (0..r.len()?)
         .map(|_| {
             Some(match r.u8()? {
@@ -557,10 +523,25 @@ pub(crate) fn decode(bytes: &[u8]) -> Option<ModuleCode> {
         .collect::<Option<_>>()?;
     // Trailing bytes mean the writer and reader disagree about the format:
     // reject rather than silently ignore.
-    (r.remaining() == 0).then_some(ModuleCode {
+    if r.remaining() != 0 {
+        return None;
+    }
+    // A checksum-valid file can still carry an out-of-range table index
+    // (a hostile cache directory, a checksum collision); the interpreter
+    // slices and indexes these tables unchecked, so reject it here.
+    let in_range = |op: &Op| match op {
+        Op::HostCall {
+            args_at, args_len, ..
+        } => u64::from(*args_at) + u64::from(*args_len) <= args.len() as u64,
+        Op::CallIndirect { sig, .. } => (*sig as usize) < sigs.len(),
+        _ => true,
+    };
+    if !funcs.iter().flat_map(|f| &f.ops).all(in_range) {
+        return None;
+    }
+    Some(ModuleCode {
         funcs,
         sigs,
-        consts,
         args,
         hook_imports,
     })
@@ -579,6 +560,7 @@ mod tests {
         let host = builder.import_function("env", "host", &[ValType::I32, ValType::I32], &[]);
         let f = builder.function("f", &[ValType::I32], &[ValType::I32], |f| {
             f.local(ValType::I32);
+            f.get_local(0u32).i32_const(9).call(host);
             f.get_local(0u32).i32_const(12).i32_mul();
             f.get_local(1u32).i32_add();
             f.i32_const(8).i32_mul();
@@ -637,6 +619,36 @@ mod tests {
             garbled[i] ^= 0x5a;
             let _ = decode(&garbled);
         }
+    }
+
+    /// The first op of `code` that `pred` accepts.
+    fn first_op(code: &mut ModuleCode, pred: fn(&Op) -> bool) -> &mut Op {
+        code.funcs
+            .iter_mut()
+            .flat_map(|f| &mut f.ops)
+            .find(|op| pred(op))
+            .expect("sample has the op")
+    }
+
+    #[test]
+    fn rejects_table_indices_out_of_range() {
+        // Both corruptions encode to well-formed bytes, so only the index
+        // check can reject them. Each index is one past the last valid one.
+        let mut code = sample_code();
+        let args = code.args.len() as u32;
+        let folded = |op: &Op| matches!(op, Op::HostCall { args_len: 1.., .. });
+        if let Op::HostCall { args_at, .. } = first_op(&mut code, folded) {
+            *args_at = args;
+        }
+        assert!(decode(&encode(&code)).is_none(), "template past args");
+
+        let mut code = sample_code();
+        let sigs = code.sigs.len() as u32;
+        let indirect = |op: &Op| matches!(op, Op::CallIndirect { .. });
+        if let Op::CallIndirect { sig, .. } = first_op(&mut code, indirect) {
+            *sig = sigs;
+        }
+        assert!(decode(&encode(&code)).is_none(), "sig past sigs");
     }
 
     #[test]

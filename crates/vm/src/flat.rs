@@ -29,8 +29,7 @@
 //! | affine address chain `(l_a*c1 + l_b)*c2` | [`Op::AffineAddr`] | 7 |
 //! | affine address chain + load | [`Op::AffineLoad`] | 8 |
 //! | call of an imported function | [`Op::HostCall`] | 1 |
-//! | `T.const`×k + imported call | [`Op::HostCallConst`] | k+1 |
-//! | (`get_local`\|`T.const`)×k + imported call | [`Op::HostCallArgs`] | k+1 |
+//! | (`get_local`\|`T.const`)×k + imported call | [`Op::HostCall`], k-entry template | k+1 |
 //!
 //! # Host-call intrinsics
 //!
@@ -42,31 +41,24 @@
 //! passed to the host directly as a slice of the operand stack — no frame,
 //! no target match, no per-call argument buffer.
 //!
-//! On top of that, [`Op::HostCallConst`] folds a run of `T.const`
-//! instructions that feed directly into an imported call — exactly the
-//! shape an instrumenter emits for every low-level hook call, whose
-//! trailing `(func, instr)` location arguments are `i32.const`s baked in at
-//! instrumentation time. The constants are deduplicated into a per-module
-//! const table ([`ModuleCode::consts`]) and handed to the host as the
-//! trailing argument run without ever touching the operand stack. The fold
-//! is generic over hosts: it keys purely on "constants feeding an imported
-//! call", not on any hook naming convention. Folding obeys the same two
-//! legality rules as every other superinstruction (no branch into the
-//! interior; the call — the only trap-capable member — is last), and the
-//! fold is capped at the call's argument count so constants that belong to
-//! a deeper stack consumer are left alone.
-//!
-//! [`Op::HostCallArgs`] generalizes the fold to mixed runs of `get_local`
-//! and `T.const` — exactly the instrumenter's payload-marshalling shape
-//! (captured values are re-read from locals, immediates and the location
-//! pair are constants). The argument list is compiled into a per-module
-//! [`ArgSrc`] template ([`ModuleCode::args`], deduplicated like the const
-//! table), so a typical instrumented call site — five to eight
-//! marshalling instructions plus the call — executes as **one** op whose
-//! arguments are gathered straight from the frame's locals and the const
-//! table. Runs that are all-constant still prefer [`Op::HostCallConst`]
-//! (its zero-stack-argument case hands the host a const-table slice
-//! without copying anything).
+//! The peephole pass then folds a run of `get_local` and `T.const`
+//! instructions that feeds directly into the call into the op's *argument
+//! template*: one [`ArgSrc`] per folded instruction, deduplicated into the
+//! per-module table [`ModuleCode::args`]. That run is exactly the shape an
+//! instrumenter emits for every low-level hook call — captured values are
+//! re-read from locals, immediates and the trailing `(func, instr)`
+//! location pair are constants baked in at instrumentation time — so a
+//! typical instrumented call site (five to eight marshalling instructions
+//! plus the call) executes as **one** op whose trailing arguments are
+//! gathered from the frame's locals and the template without touching the
+//! operand stack. A call with an empty template hands the host the stack
+//! slice without copying anything. The fold is generic over hosts: it keys
+//! purely on "locals and constants feeding an imported call", not on any
+//! hook naming convention. Folding obeys the same two legality rules as
+//! every other superinstruction (no branch into the interior; the call —
+//! the only trap-capable member — is last), and the fold is capped at the
+//! call's argument count so values that belong to a deeper stack consumer
+//! are left alone.
 //!
 //! Two legality rules keep fusion observationally invisible:
 //!
@@ -92,9 +84,9 @@
 //! bodies straight into this translator together with a list of *synthetic*
 //! [`HookImport`]s occupying function indices past the module's own — no
 //! rewritten binary ever exists. Injected hook calls are ordinary imported
-//! calls to the translator, so they fold into
-//! [`Op::HostCallConst`]/[`Op::HostCallArgs`] under the same two legality
-//! rules as everything else (an injected call is trap-capable — the host
+//! calls to the translator, so their marshalling runs fold into
+//! [`Op::HostCall`]'s argument template under the same two legality rules
+//! as everything else (an injected call is trap-capable — the host
 //! boundary — so it is always the *last* member of its group, and no
 //! branch may enter the marshalling run feeding it). At instantiation the
 //! synthetic imports resolve after the module's real imports, and the host
@@ -158,48 +150,21 @@ pub(crate) enum Op {
     },
     /// Call of an **imported** function, dispatched straight to the host:
     /// no interpreter frame, no per-call function-target match — the callee
-    /// resolves through the instance's dense host-id table, and the
-    /// arguments are the top `argc` operand-stack values, passed as a
-    /// borrowed slice (see the module docs, "Host-call intrinsics").
+    /// resolves through the instance's dense host-id table. The host
+    /// receives the top `stack_argc` operand-stack values followed by one
+    /// value per [`ArgSrc`] of the template `args[args_at..args_at +
+    /// args_len]`, read from the frame's locals or the template itself (see
+    /// the module docs, "Host-call intrinsics").
     HostCall {
         /// Function index of the imported callee.
         func: u32,
-        argc: u32,
-        retc: u32,
-    },
-    /// [`Op::HostCall`] with a folded run of trailing arguments sourced
-    /// from locals and constants (the instrumenter's payload-marshalling
-    /// shape): the host receives `stack[top-stack_argc..]` followed by one
-    /// value per [`ArgSrc`] of `args[args_at..args_at+args_len]`, gathered
-    /// from the frame's locals and [`ModuleCode::consts`] without touching
-    /// the operand stack.
-    HostCallArgs {
-        /// Function index of the imported callee.
-        func: u32,
-        /// Arguments still taken from the operand stack (may be 0).
+        /// Arguments taken from the operand stack.
         stack_argc: u32,
         retc: u32,
         /// Start of the argument template in [`ModuleCode::args`].
         args_at: u32,
-        /// Length of the argument template (≥ 1).
+        /// Length of the argument template (0 until the fold fills it).
         args_len: u32,
-    },
-    /// [`Op::HostCall`] with a folded run of constant trailing arguments
-    /// (the instrumenter's `i32.const`-pushed location pair, typically):
-    /// the host receives `stack[top-stack_argc..] ++
-    /// consts[const_at..const_at+const_len]` — the constants live in the
-    /// deduplicated [`ModuleCode::consts`] table and never touch the
-    /// operand stack.
-    HostCallConst {
-        /// Function index of the imported callee.
-        func: u32,
-        /// Arguments still taken from the operand stack (may be 0).
-        stack_argc: u32,
-        retc: u32,
-        /// Start of the constant argument run in [`ModuleCode::consts`].
-        const_at: u32,
-        /// Length of the constant argument run (≥ 1).
-        const_len: u32,
     },
     CallIndirect {
         /// Index into [`ModuleCode::sigs`].
@@ -315,8 +280,7 @@ impl Op {
             | Op::LocalLocalCmpBrIf { .. } => 4,
             Op::AffineAddr { .. } => 7,
             Op::AffineLoad { .. } => 8,
-            Op::HostCallConst { const_len, .. } => 1 + u64::from(*const_len),
-            Op::HostCallArgs { args_len, .. } => 1 + u64::from(*args_len),
+            Op::HostCall { args_len, .. } => 1 + u64::from(*args_len),
             _ => 1,
         }
     }
@@ -332,7 +296,7 @@ pub(crate) struct FuncCode {
     pub arity: usize,
 }
 
-/// One argument of an [`Op::HostCallArgs`] template: where the value comes
+/// One argument of an [`Op::HostCall`] template: where the value comes
 /// from when the call executes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ArgSrc {
@@ -349,9 +313,7 @@ pub(crate) struct ModuleCode {
     pub funcs: Vec<FuncCode>,
     /// Deduplicated `call_indirect` expected signatures.
     pub sigs: Vec<FuncType>,
-    /// Deduplicated constant-argument runs of [`Op::HostCallConst`] ops.
-    pub consts: Vec<Val>,
-    /// Deduplicated argument templates of [`Op::HostCallArgs`] ops.
+    /// Deduplicated argument templates of [`Op::HostCall`] ops.
     pub args: Vec<ArgSrc>,
     /// Synthetic function imports of the direct-emit instrumentation path
     /// ([`crate::TranslatedModule::new_instrumented`]), occupying function
@@ -398,9 +360,9 @@ pub struct InstrumentedFunc {
 /// fallback.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TranslateOptions {
-    /// Emit [`Op::HostCall`]/[`Op::HostCallConst`] for calls of imported
-    /// functions (default). When `false`, imported calls go through the
-    /// generic [`Op::Call`] machinery.
+    /// Emit [`Op::HostCall`] for calls of imported functions (default).
+    /// When `false`, imported calls go through the generic [`Op::Call`]
+    /// machinery.
     pub host_call_intrinsics: bool,
 }
 
@@ -412,17 +374,14 @@ impl Default for TranslateOptions {
     }
 }
 
-/// Interner for the constant runs of [`Op::HostCallConst`] and the
-/// argument templates of [`Op::HostCallArgs`]: identical runs (bit-pattern
-/// equality, so NaNs and signed zeros dedupe exactly) share one slice of
-/// the respective table.
+/// Interner for the argument templates of [`Op::HostCall`]: identical
+/// templates (bit-pattern equality, so NaNs and signed zeros dedupe
+/// exactly) share one slice of the args table.
 #[derive(Debug, Default)]
-struct ConstPool {
-    consts: Vec<Val>,
-    /// Const runs already interned, keyed by the values' bit patterns.
-    runs: HashMap<Vec<(u8, u64)>, u32>,
+struct ArgPool {
     args: Vec<ArgSrc>,
-    /// Templates already interned, keyed like `runs` (tag 4 = local).
+    /// Templates already interned, keyed by the values' bit patterns
+    /// (tag 4 = local).
     templates: HashMap<Vec<(u8, u64)>, u32>,
 }
 
@@ -435,19 +394,7 @@ fn val_key(v: Val) -> (u8, u64) {
     }
 }
 
-impl ConstPool {
-    /// Intern a constant run, returning its start in the const table.
-    fn intern_consts(&mut self, values: &[Val]) -> u32 {
-        let key = values.iter().map(|&v| val_key(v)).collect();
-        if let Some(&at) = self.runs.get(&key) {
-            return at;
-        }
-        let at = self.consts.len() as u32;
-        self.consts.extend_from_slice(values);
-        self.runs.insert(key, at);
-        at
-    }
-
+impl ArgPool {
     /// Intern an argument template, returning its start in the args table.
     fn intern_args(&mut self, srcs: &[ArgSrc]) -> u32 {
         let key = srcs
@@ -510,15 +457,14 @@ pub(crate) fn translate_module_with(module: &Module, opts: TranslateOptions) -> 
 
 /// Per-function output of the independent translation pass: the function's
 /// fused ops with every cross-function table reference
-/// ([`Op::CallIndirect`]'s signature id, [`Op::HostCallConst`]'s const run,
-/// [`Op::HostCallArgs`]'s template) still pointing into these **local**
-/// tables. [`merge_local`] re-interns them into the module-global tables at
-/// the deterministic join.
+/// ([`Op::CallIndirect`]'s signature id, [`Op::HostCall`]'s template)
+/// still pointing into these **local** tables. [`merge_local`] re-interns
+/// them into the module-global tables at the deterministic join.
 #[derive(Debug, Default)]
 struct LocalTranslation {
     code: FuncCode,
     sigs: Vec<FuncType>,
-    pool: ConstPool,
+    pool: ArgPool,
 }
 
 /// Module-global interning state built up at the join, in function-index
@@ -527,14 +473,14 @@ struct LocalTranslation {
 struct GlobalTables {
     sigs: Vec<FuncType>,
     sig_ids: HashMap<FuncType, u32>,
-    pool: ConstPool,
+    pool: ArgPool,
 }
 
 /// Re-intern one function's local tables into the global ones and remap its
 /// ops. Determinism argument: within a function, table references appear in
 /// the op stream in exactly the order the sequential translator interned
 /// them (Phase A interns `call_indirect` signatures in instruction order;
-/// the host-call folds of Phase B intern const runs / templates in
+/// the host-call folds of Phase B intern templates in
 /// left-to-right scan order of the first fuse pass, and fusion never
 /// reorders ops) — so walking the final ops in order and interning on first
 /// sight replays the sequential interning sequence. Calling `merge_local`
@@ -560,18 +506,10 @@ fn merge_local(tables: &mut GlobalTables, local: LocalTranslation) -> FuncCode {
                     }
                 };
             }
-            Op::HostCallConst {
-                const_at,
-                const_len,
-                ..
-            } => {
-                let at = *const_at as usize;
-                let run = &pool.consts[at..at + *const_len as usize];
-                *const_at = tables.pool.intern_consts(run);
-            }
-            Op::HostCallArgs {
+            // A bare call keeps its empty template at 0.
+            Op::HostCall {
                 args_at, args_len, ..
-            } => {
+            } if *args_len > 0 => {
                 let at = *args_at as usize;
                 let run = &pool.args[at..at + *args_len as usize];
                 *args_at = tables.pool.intern_args(run);
@@ -584,7 +522,7 @@ fn merge_local(tables: &mut GlobalTables, local: LocalTranslation) -> FuncCode {
 
 /// The function-granular build pipeline (paper §3): translate every body as
 /// an independent pass — immutable module/type context in, per-function
-/// [`FuncCode`] plus local const pool out — fanned out over `threads`
+/// [`FuncCode`] plus local template pool out — fanned out over `threads`
 /// scoped workers in contiguous chunks, then merge the local pools into the
 /// module-global tables in function-index order. The merge is the only
 /// sequential section, and it makes the output **bit-identical** to
@@ -671,7 +609,6 @@ pub(crate) fn translate_module_parallel(
         ModuleCode {
             funcs: merged,
             sigs: tables.sigs,
-            consts: tables.pool.consts,
             args: tables.pool.args,
             hook_imports,
         },
@@ -733,7 +670,7 @@ fn translate_function(
 ) -> LocalTranslation {
     let mut sigs: Vec<FuncType> = Vec::new();
     let mut sig_ids: HashMap<FuncType, u32> = HashMap::new();
-    let mut pool = ConstPool::default();
+    let mut pool = ArgPool::default();
     let jump = compute_jump_table(body);
     let mut ops: Vec<Op> = Vec::with_capacity(body.len());
     let mut frames: Vec<TFrame> = vec![TFrame {
@@ -854,8 +791,10 @@ fn translate_function(
                 if is_import && (opts.host_call_intrinsics || is_synthetic) {
                     Op::HostCall {
                         func: callee.to_u32(),
-                        argc: callee_ty.params.len() as u32,
+                        stack_argc: callee_ty.params.len() as u32,
                         retc: callee_ty.results.len() as u32,
+                        args_at: 0,
+                        args_len: 0,
                     }
                 } else {
                     Op::Call {
@@ -1020,56 +959,43 @@ fn branch_targets(ops: &[Op]) -> Vec<bool> {
 /// the number of ops it consumes. Members after the first must not be
 /// branch targets (control may only enter a group at its head), and longer
 /// groups are preferred over shorter ones.
-fn try_fuse(ops: &[Op], is_target: &[bool], i: usize, pool: &mut ConstPool) -> Option<(Op, usize)> {
+fn try_fuse(ops: &[Op], is_target: &[bool], i: usize, pool: &mut ArgPool) -> Option<(Op, usize)> {
     let fusible = |k: usize| i + k < ops.len() && (1..=k).all(|j| !is_target[i + j]);
 
     // Host-call intrinsic fold: a run of consts and local reads feeding
-    // directly into an imported call becomes one op, the argument sources
-    // interned in the module's const/template tables. The fold is capped
-    // at the call's argument count — if the run is longer, the leading
-    // values belong to a deeper stack consumer and the fold fires later,
-    // at the run's suffix.
+    // directly into a not-yet-folded imported call becomes that call's
+    // argument template, interned in the module's args table. The fold is
+    // capped at the call's argument count — if the run is longer, the
+    // leading values belong to a deeper stack consumer and the fold fires
+    // later, at the run's suffix.
     if matches!(ops[i], Op::Const(_) | Op::LocalGet(_)) {
         let mut run = 1;
         while matches!(ops.get(i + run), Some(Op::Const(_) | Op::LocalGet(_))) {
             run += 1;
         }
-        if let Some(Op::HostCall { func, argc, retc }) = ops.get(i + run) {
-            if run <= *argc as usize && fusible(run) {
-                let stack_argc = *argc - run as u32;
-                let sources = &ops[i..i + run];
-                let op = if sources.iter().all(|op| matches!(op, Op::Const(_))) {
-                    // All-constant run: the zero-copy const-table form.
-                    let values: Vec<Val> = sources
-                        .iter()
-                        .map(|op| match op {
-                            Op::Const(v) => *v,
-                            _ => unreachable!("run contains only consts"),
-                        })
-                        .collect();
-                    Op::HostCallConst {
-                        func: *func,
-                        stack_argc,
-                        retc: *retc,
-                        const_at: pool.intern_consts(&values),
-                        const_len: run as u32,
-                    }
-                } else {
-                    let srcs: Vec<ArgSrc> = sources
-                        .iter()
-                        .map(|op| match op {
-                            Op::Const(v) => ArgSrc::Value(*v),
-                            Op::LocalGet(idx) => ArgSrc::Local(*idx),
-                            _ => unreachable!("run contains only consts and local reads"),
-                        })
-                        .collect();
-                    Op::HostCallArgs {
-                        func: *func,
-                        stack_argc,
-                        retc: *retc,
-                        args_at: pool.intern_args(&srcs),
-                        args_len: run as u32,
-                    }
+        if let Some(&Op::HostCall {
+            func,
+            stack_argc: argc,
+            retc,
+            args_len: 0,
+            ..
+        }) = ops.get(i + run)
+        {
+            if run <= argc as usize && fusible(run) {
+                let srcs: Vec<ArgSrc> = ops[i..i + run]
+                    .iter()
+                    .map(|op| match op {
+                        Op::Const(v) => ArgSrc::Value(*v),
+                        Op::LocalGet(idx) => ArgSrc::Local(*idx),
+                        _ => unreachable!("run contains only consts and local reads"),
+                    })
+                    .collect();
+                let op = Op::HostCall {
+                    func,
+                    stack_argc: argc - run as u32,
+                    retc,
+                    args_at: pool.intern_args(&srcs),
+                    args_len: run as u32,
                 };
                 return Some((op, run + 1));
             }
@@ -1232,7 +1158,7 @@ fn try_fuse(ops: &[Op], is_target: &[bool], i: usize, pool: &mut ConstPool) -> O
 /// Peephole-fuse `ops` to a fixpoint: a first pass forms the pair/triple/
 /// quad superinstructions, later passes combine those into the compound
 /// ops ([`Op::AffineAddr`], [`Op::AffineLoad`]).
-fn fuse(mut ops: Vec<Op>, pool: &mut ConstPool) -> Vec<Op> {
+fn fuse(mut ops: Vec<Op>, pool: &mut ArgPool) -> Vec<Op> {
     loop {
         let before = ops.len();
         ops = fuse_pass(ops, pool);
@@ -1244,7 +1170,7 @@ fn fuse(mut ops: Vec<Op>, pool: &mut ConstPool) -> Vec<Op> {
 
 /// One peephole pass: fuse groups and remap all branch targets to the new
 /// indices.
-fn fuse_pass(ops: Vec<Op>, pool: &mut ConstPool) -> Vec<Op> {
+fn fuse_pass(ops: Vec<Op>, pool: &mut ArgPool) -> Vec<Op> {
     let is_target = branch_targets(&ops);
     let mut fused: Vec<Op> = Vec::with_capacity(ops.len());
     // `map[old_pc]` = index of the fused op covering that original op.
@@ -1294,7 +1220,8 @@ fn fuse_pass(ops: Vec<Op>, pool: &mut ConstPool) -> Vec<Op> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wasabi_wasm::builder::ModuleBuilder;
+    use wasabi_wasm::builder::{FunctionBuilder, ModuleBuilder};
+    use wasabi_wasm::instr::{FunctionSpace, Idx};
     use wasabi_wasm::types::ValType;
     use wasabi_wasm::validate::validate;
 
@@ -1545,155 +1472,158 @@ mod tests {
         assert_eq!(d.keep, 1);
     }
 
+    /// One imported-call shape for [`assert_folds`]: the caller
+    /// `g(i32, i32)` runs `body` against the all-`i32` import `f` (function
+    /// 0) and must translate to `prefix`, then one [`Op::HostCall`] taking
+    /// `stack_argc` stack values plus `template`, then `Return`.
+    struct FoldCase {
+        shape: &'static str,
+        argc: usize,
+        retc: usize,
+        g_results: usize,
+        body: fn(&mut FunctionBuilder, Idx<FunctionSpace>),
+        prefix: Vec<Op>,
+        stack_argc: u32,
+        template: Vec<ArgSrc>,
+    }
+
+    /// Translates `case` and checks its ops, argument pool and weight.
+    fn assert_folds(case: FoldCase) {
+        let code = translate(|b| {
+            let f = b.import_function(
+                "env",
+                "f",
+                &vec![ValType::I32; case.argc],
+                &vec![ValType::I32; case.retc],
+            );
+            b.function(
+                "g",
+                &[ValType::I32; 2],
+                &vec![ValType::I32; case.g_results],
+                |g| (case.body)(g, f),
+            );
+        });
+        let call = Op::HostCall {
+            func: 0,
+            stack_argc: case.stack_argc,
+            retc: case.retc as u32,
+            args_at: 0,
+            args_len: case.template.len() as u32,
+        };
+        let mut expected = case.prefix.clone();
+        expected.extend([call.clone(), Op::Return]);
+        assert_eq!(code.funcs[1].ops, expected, "{}", case.shape);
+        assert_eq!(code.args, case.template, "{}", case.shape);
+        // Weight = the folded instructions + the call.
+        assert_eq!(
+            call.weight(),
+            1 + case.template.len() as u64,
+            "{}",
+            case.shape
+        );
+    }
+
     #[test]
     fn imported_call_becomes_host_call() {
-        // The argument is a computed value, so it stays on the operand
-        // stack and the call itself is a bare `HostCall`.
-        let code = translate(|b| {
-            let f = b.import_function("env", "f", &[ValType::I32], &[ValType::I32]);
-            b.function("g", &[ValType::I32], &[ValType::I32], |body| {
-                body.get_local(0u32).get_local(0u32).i32_add().call(f);
-            });
+        assert_folds(FoldCase {
+            // A computed argument stays on the stack: empty template.
+            shape: "bare call",
+            argc: 1,
+            retc: 1,
+            g_results: 1,
+            body: |g, f| {
+                g.get_local(0u32).get_local(0u32).i32_add().call(f);
+            },
+            prefix: vec![Op::LocalLocalBinary {
+                a: 0,
+                b: 0,
+                op: BinaryOp::I32Add,
+            }],
+            stack_argc: 1,
+            template: vec![],
         });
-        assert_eq!(
-            code.funcs[1].ops,
-            vec![
-                Op::LocalLocalBinary {
-                    a: 0,
-                    b: 0,
-                    op: BinaryOp::I32Add
-                },
-                Op::HostCall {
-                    func: 0,
-                    argc: 1,
-                    retc: 1
-                },
-                Op::Return,
-            ]
-        );
     }
 
     #[test]
     fn local_and_const_args_fold_into_a_template() {
-        // The instrumenter's payload-marshalling shape: captured locals
-        // plus immediates feeding an imported call — one op.
-        let code = translate(|b| {
-            let f = b.import_function("env", "f", &[ValType::I32, ValType::I32, ValType::I32], &[]);
-            b.function("g", &[ValType::I32, ValType::I32], &[], |body| {
-                body.get_local(0u32).i32_const(5).get_local(1u32).call(f);
-            });
-        });
-        assert_eq!(
-            code.funcs[1].ops,
-            vec![
-                Op::HostCallArgs {
-                    func: 0,
-                    stack_argc: 0,
-                    retc: 0,
-                    args_at: 0,
-                    args_len: 3,
-                },
-                Op::Return,
-            ]
-        );
-        assert_eq!(
-            code.args,
-            vec![
+        assert_folds(FoldCase {
+            // The payload-marshalling shape: captured locals plus
+            // immediates.
+            shape: "mixed run",
+            argc: 3,
+            retc: 0,
+            g_results: 0,
+            body: |g, f| {
+                g.get_local(0u32).i32_const(5).get_local(1u32).call(f);
+            },
+            prefix: vec![],
+            stack_argc: 0,
+            template: vec![
                 ArgSrc::Local(0),
                 ArgSrc::Value(Val::I32(5)),
-                ArgSrc::Local(1)
-            ]
-        );
-        assert_eq!(code.funcs[1].ops[0].weight(), 4);
+                ArgSrc::Local(1),
+            ],
+        });
     }
 
     #[test]
     fn const_args_fold_into_host_call_const() {
-        // The instrumenter's hook-call shape: constants feeding an import.
-        let code = translate(|b| {
-            let f = b.import_function("env", "f", &[ValType::I32, ValType::I32], &[]);
-            b.function("g", &[], &[], |body| {
-                body.i32_const(3).i32_const(17).call(f);
-            });
+        assert_folds(FoldCase {
+            // The instrumenter's location pair: constants only.
+            shape: "all-constant run",
+            argc: 2,
+            retc: 0,
+            g_results: 0,
+            body: |g, f| {
+                g.i32_const(3).i32_const(17).call(f);
+            },
+            prefix: vec![],
+            stack_argc: 0,
+            template: vec![ArgSrc::Value(Val::I32(3)), ArgSrc::Value(Val::I32(17))],
         });
-        assert_eq!(
-            code.funcs[1].ops,
-            vec![
-                Op::HostCallConst {
-                    func: 0,
-                    stack_argc: 0,
-                    retc: 0,
-                    const_at: 0,
-                    const_len: 2,
-                },
-                Op::Return,
-            ]
-        );
-        assert_eq!(code.consts, vec![Val::I32(3), Val::I32(17)]);
-        // Weight = the two consts + the call.
-        assert_eq!(code.funcs[1].ops[0].weight(), 3);
     }
 
     #[test]
     fn host_call_const_fold_is_capped_by_argc() {
-        // Three consts, a 1-argument import: only the const adjacent to the
-        // call is its argument; the two before it feed the caller's result.
-        let code = translate(|b| {
-            let f = b.import_function("env", "f", &[ValType::I32], &[]);
-            b.function("g", &[], &[ValType::I32, ValType::I32], |body| {
-                body.i32_const(1).i32_const(2).i32_const(99).call(f);
-            });
+        assert_folds(FoldCase {
+            // Only the const adjacent to the 1-argument call is its
+            // argument; the two before it feed the caller's result.
+            shape: "run longer than argc",
+            argc: 1,
+            retc: 0,
+            g_results: 2,
+            body: |g, f| {
+                g.i32_const(1).i32_const(2).i32_const(99).call(f);
+            },
+            prefix: vec![Op::Const(Val::I32(1)), Op::Const(Val::I32(2))],
+            stack_argc: 0,
+            template: vec![ArgSrc::Value(Val::I32(99))],
         });
-        assert_eq!(
-            code.funcs[1].ops,
-            vec![
-                Op::Const(Val::I32(1)),
-                Op::Const(Val::I32(2)),
-                Op::HostCallConst {
-                    func: 0,
-                    stack_argc: 0,
-                    retc: 0,
-                    const_at: 0,
-                    const_len: 1,
-                },
-                Op::Return,
-            ]
-        );
-        assert_eq!(code.consts, vec![Val::I32(99)]);
     }
 
     #[test]
     fn mixed_stack_and_const_args() {
-        // First argument is computed (stays on the stack), second is a
-        // constant (folds into the const table).
-        let code = translate(|b| {
-            let f = b.import_function("env", "f", &[ValType::I32, ValType::I32], &[ValType::I32]);
-            b.function("g", &[ValType::I32], &[ValType::I32], |body| {
-                body.get_local(0u32)
+        assert_folds(FoldCase {
+            // First argument computed (stack), second folded.
+            shape: "stack plus template",
+            argc: 2,
+            retc: 1,
+            g_results: 1,
+            body: |g, f| {
+                g.get_local(0u32)
                     .get_local(0u32)
                     .i32_mul()
                     .i32_const(5)
                     .call(f);
-            });
+            },
+            prefix: vec![Op::LocalLocalBinary {
+                a: 0,
+                b: 0,
+                op: BinaryOp::I32Mul,
+            }],
+            stack_argc: 1,
+            template: vec![ArgSrc::Value(Val::I32(5))],
         });
-        assert_eq!(
-            code.funcs[1].ops,
-            vec![
-                Op::LocalLocalBinary {
-                    a: 0,
-                    b: 0,
-                    op: BinaryOp::I32Mul
-                },
-                Op::HostCallConst {
-                    func: 0,
-                    stack_argc: 1,
-                    retc: 1,
-                    const_at: 0,
-                    const_len: 1,
-                },
-                Op::Return,
-            ]
-        );
     }
 
     #[test]
@@ -1707,12 +1637,12 @@ mod tests {
             });
         });
         // Two identical runs share one table slice; the third differs.
-        assert_eq!(code.consts.len(), 4);
+        assert_eq!(code.args.len(), 4);
         let host_calls: Vec<_> = code.funcs[1]
             .ops
             .iter()
             .filter_map(|op| match op {
-                Op::HostCallConst { const_at, .. } => Some(*const_at),
+                Op::HostCall { args_at, .. } => Some(*args_at),
                 _ => None,
             })
             .collect();
@@ -1745,7 +1675,7 @@ mod tests {
                 Op::Return,
             ]
         );
-        assert!(code.consts.is_empty());
+        assert!(code.args.is_empty());
     }
 
     #[test]
@@ -1765,7 +1695,7 @@ mod tests {
         let ops = &code.funcs[1].ops;
         assert!(ops
             .iter()
-            .any(|op| matches!(op, Op::HostCallConst { const_len: 2, .. })));
+            .any(|op| matches!(op, Op::HostCall { args_len: 2, .. })));
         let back = ops
             .iter()
             .find_map(|op| match op {
@@ -1780,7 +1710,7 @@ mod tests {
             Op::Skip,
             "target follows the loop marker"
         );
-        assert!(matches!(ops[back as usize], Op::HostCallConst { .. }));
+        assert!(matches!(ops[back as usize], Op::HostCall { .. }));
     }
 
     #[test]

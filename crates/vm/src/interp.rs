@@ -16,10 +16,10 @@
 //! oracle in [`crate::reference`].
 //!
 //! Calls of **imported** functions dispatch through the host-call
-//! intrinsic ops (see `crate::flat`, "Host-call intrinsics"): the host
+//! intrinsic op (see `crate::flat`, "Host-call intrinsics"): the host
 //! identity resolves once at instantiation into a dense per-instance
 //! table, arguments are gathered from the operand stack, the frame's
-//! locals, and the module's const table with no interpreter frame and no
+//! locals, and the op's argument template with no interpreter frame and no
 //! per-call target match, and [`Instance::host_call_counts`] reports how
 //! many calls took the intrinsic vs. the generic route.
 //!
@@ -230,7 +230,7 @@ impl TranslatedModule {
     /// `funcs` is aligned with `module.functions` (`None` keeps the
     /// original body); injected hook calls target the synthetic
     /// `hook_imports` at function indices `module.functions.len()..`, are
-    /// always emitted as host-call intrinsic ops, and fuse with their
+    /// always emitted as the host-call intrinsic op, and fuse with their
     /// marshalling runs exactly like calls of real imports (`crate::flat`,
     /// "Direct-emit instrumentation"). At instantiation the synthetic
     /// imports resolve against the host after the module's real imports,
@@ -391,7 +391,7 @@ pub struct Instance {
     pub(crate) module: Arc<Module>,
     code: Arc<ModuleCode>,
     pub(crate) func_targets: Vec<FuncTarget>,
-    /// Dense host-identity table for the host-call intrinsic ops: for every
+    /// Dense host-identity table for the host-call intrinsic op: for every
     /// imported function index, the [`HostFuncId`] the host resolved it to
     /// (non-import slots hold a never-read placeholder). Resolved once at
     /// instantiation so [`Op::HostCall`] dispatch needs no per-call match
@@ -404,9 +404,9 @@ pub struct Instance {
     /// boundary. A masked call still pays its weight, fuel, and depth
     /// check; it just skips argument marshalling and the host call.
     host_noop: Vec<bool>,
-    /// Argument scratch for [`Op::HostCallConst`] with mixed stack/const
-    /// arguments; reused across calls, so the steady state allocates
-    /// nothing.
+    /// Argument scratch for an [`Op::HostCall`] with a non-empty template:
+    /// the stack arguments plus the template's values are gathered here;
+    /// reused across calls, so the steady state allocates nothing.
     host_args: Vec<Val>,
     pub(crate) memory: Option<LinearMemory>,
     pub(crate) table: Option<FuncTable>,
@@ -421,7 +421,7 @@ pub struct Instance {
     pub(crate) executed_instrs: u64,
     pub(crate) max_call_depth: usize,
     /// Host calls dispatched through the intrinsic fast path
-    /// ([`Op::HostCall`]/[`Op::HostCallConst`]).
+    /// ([`Op::HostCall`], with or without an argument template).
     pub(crate) host_calls_fast: u64,
     /// Host calls dispatched through the generic call machinery (generic
     /// `call`, `call_indirect` to an import, direct invocation of an
@@ -617,7 +617,7 @@ impl Instance {
     }
 
     /// Host calls this instance has dispatched, as `(fast, slow)`: `fast`
-    /// went through the host-call intrinsic ops (`crate::flat`,
+    /// went through the host-call intrinsic op (`crate::flat`,
     /// "Host-call intrinsics"), `slow` through the generic call machinery
     /// (generic `call` translation, `call_indirect` to an import, direct
     /// invocation of an import, or the [`crate::Reference`] oracle).
@@ -636,11 +636,6 @@ impl Instance {
     /// The instance's linear memory, if any.
     pub fn memory(&self) -> Option<&LinearMemory> {
         self.memory.as_ref()
-    }
-
-    /// Mutable access to the linear memory, if any.
-    pub fn memory_mut(&mut self) -> Option<&mut LinearMemory> {
-        self.memory.as_mut()
     }
 
     /// The instance's function table, if any.
@@ -719,70 +714,19 @@ impl Instance {
         Ok(())
     }
 
-    /// Dispatch one host-call intrinsic: the host receives
-    /// `values[at..] ++ consts` and its results replace `values[at..]`.
+    /// Dispatch one [`Op::HostCall`] intrinsic: the host receives
+    /// `values[at..]` followed by the template's values, and its results
+    /// replace `values[at..]`. An empty template hands the host the stack
+    /// slice directly; otherwise the arguments are gathered from the stack,
+    /// the frame's locals (starting at `values[locals]`) and the template
+    /// into the reused scratch buffer (allocation-free in the steady state).
     ///
     /// Never inlined, like every host-call helper: the marshalling code
     /// would otherwise bloat the dispatch loop and raise register pressure
     /// on every op, not just on calls.
     #[inline(never)]
-    fn host_call_fast(
-        &mut self,
-        func: u32,
-        values: &mut Vec<Val>,
-        at: usize,
-        consts: &[Val],
-        retc: u32,
-        host: &mut dyn Host,
-    ) -> Result<(), Trap> {
-        self.host_calls_fast += 1;
-        let id = self.host_ids[func as usize];
-        let results = if at == values.len() {
-            // All-constant argument list (or none at all): hand the host
-            // the const-table slice directly, zero copying.
-            let ctx = HostCtx {
-                memory: self.memory.as_mut(),
-                table: self.table.as_mut(),
-                globals: &mut self.globals,
-            };
-            host.call(id, consts, ctx)?
-        } else if consts.is_empty() {
-            // Arguments are already contiguous on the value stack.
-            let ctx = HostCtx {
-                memory: self.memory.as_mut(),
-                table: self.table.as_mut(),
-                globals: &mut self.globals,
-            };
-            host.call(id, &values[at..], ctx)?
-        } else {
-            // Mixed: stack prefix + constant tail, joined in the reused
-            // scratch buffer (allocation-free in the steady state).
-            let mut args = std::mem::take(&mut self.host_args);
-            args.clear();
-            args.extend_from_slice(&values[at..]);
-            args.extend_from_slice(consts);
-            let ctx = HostCtx {
-                memory: self.memory.as_mut(),
-                table: self.table.as_mut(),
-                globals: &mut self.globals,
-            };
-            let result = host.call(id, &args, ctx);
-            self.host_args = args;
-            result?
-        };
-        debug_assert_eq!(results.len(), retc as usize, "host result arity");
-        values.truncate(at);
-        values.extend_from_slice(&results);
-        Ok(())
-    }
-
-    /// Dispatch one [`Op::HostCallArgs`] intrinsic: the host receives
-    /// `values[at..]` followed by the template's values, gathered from the
-    /// frame's locals (starting at `values[locals]`) and the const table
-    /// into the reused scratch buffer.
-    #[inline(never)]
     #[allow(clippy::too_many_arguments)]
-    fn host_call_args(
+    fn host_call_fast(
         &mut self,
         func: u32,
         values: &mut Vec<Val>,
@@ -795,20 +739,25 @@ impl Instance {
         self.host_calls_fast += 1;
         let id = self.host_ids[func as usize];
         let mut args = std::mem::take(&mut self.host_args);
-        args.clear();
-        args.extend_from_slice(&values[at..]);
-        for src in tpl {
-            args.push(match src {
-                ArgSrc::Local(idx) => values[locals + *idx as usize],
-                ArgSrc::Value(v) => *v,
-            });
-        }
+        let argv: &[Val] = if tpl.is_empty() {
+            &values[at..]
+        } else {
+            args.clear();
+            args.extend_from_slice(&values[at..]);
+            for src in tpl {
+                args.push(match src {
+                    ArgSrc::Local(idx) => values[locals + *idx as usize],
+                    ArgSrc::Value(v) => *v,
+                });
+            }
+            &args
+        };
         let ctx = HostCtx {
             memory: self.memory.as_mut(),
             table: self.table.as_mut(),
             globals: &mut self.globals,
         };
-        let result = host.call(id, &args, ctx);
+        let result = host.call(id, argv, ctx);
         self.host_args = args;
         let results = result?;
         debug_assert_eq!(results.len(), retc as usize, "host result arity");
@@ -907,12 +856,6 @@ pub struct Resumable {
 }
 
 impl Resumable {
-    /// `true` once the activation returned or trapped; resuming a finished
-    /// activation is a logic error.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// Current wasm call depth (suspended frames).
     pub fn depth(&self) -> usize {
         self.frames.len()
@@ -1157,11 +1100,10 @@ impl Instance {
                 }
             }};
         }
-        // The host-call intrinsics (see `flat`): the callee's host
-        // identity was resolved at instantiation, the arguments are passed
-        // straight off the value stack (plus a folded constant or
-        // local/const template tail) — no interpreter frame, no
-        // function-target match.
+        // The host-call intrinsic (see `flat`): the callee's host identity
+        // was resolved at instantiation, the arguments are passed straight
+        // off the value stack (plus a folded local/const template tail) —
+        // no interpreter frame, no function-target match.
         //
         // No-op mask (direct-emit instrumentation): a hook the host
         // declared dead retires here — weight, fuel, and the depth check
@@ -1241,35 +1183,7 @@ impl Instance {
                 Op::Return => ret!(arity),
 
                 Op::Call { callee, params } => call!(*callee as usize, *params),
-                Op::HostCall { func, argc, retc } => {
-                    host_call!(*func, *argc, *retc, |at| self.host_call_fast(
-                        *func,
-                        &mut values,
-                        at,
-                        &[],
-                        *retc,
-                        host
-                    ));
-                }
-                Op::HostCallConst {
-                    func,
-                    stack_argc,
-                    retc,
-                    const_at,
-                    const_len,
-                } => {
-                    let consts =
-                        &code.consts[*const_at as usize..(*const_at + *const_len) as usize];
-                    host_call!(*func, *stack_argc, *retc, |at| self.host_call_fast(
-                        *func,
-                        &mut values,
-                        at,
-                        consts,
-                        *retc,
-                        host
-                    ));
-                }
-                Op::HostCallArgs {
+                Op::HostCall {
                     func,
                     stack_argc,
                     retc,
@@ -1277,7 +1191,7 @@ impl Instance {
                     args_len,
                 } => {
                     let tpl = &code.args[*args_at as usize..(*args_at + *args_len) as usize];
-                    host_call!(*func, *stack_argc, *retc, |at| self.host_call_args(
+                    host_call!(*func, *stack_argc, *retc, |at| self.host_call_fast(
                         *func,
                         &mut values,
                         at,
